@@ -12,9 +12,10 @@
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
-//                 [--mmap] [--pin-threads]
+//                 [--mmap]
 //                                   run the merge, print summary statistics
-//                                   (threads: 0 = auto, 1 = single-threaded;
+//                                   (threads: 0 = auto, 1 = one worker, on
+//                                   the calling thread;
 //                                   --spill-dir stages shard backlog on disk
 //                                   instead of throttling at the watermark;
 //                                   --spill-threshold overrides the queue
@@ -22,12 +23,10 @@
 //                                   --stats-json writes the pipeline metric
 //                                   registry as JSON after the run;
 //                                   --mmap memory-maps the trace files, with
-//                                   silent fallback to buffered reads;
-//                                   --pin-threads pins shard workers to CPUs
-//                                   round-robin — Linux only, no-op
-//                                   elsewhere.  Neither changes the output)
+//                                   silent fallback to buffered reads.
+//                                   Neither threads nor --mmap changes the
+//                                   output)
 //   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
-//                 [--pin-threads]
 //                                   tail a directory that is still being
 //                                   written: resumable MergeSession +
 //                                   analysis bus, merge summary at the end
@@ -105,8 +104,9 @@
 //                                   have.
 //
 // Exit codes: 0 success, 1 unreadable/missing input or unreachable peer,
-// 2 usage error, 3 corrupt or truncated input (inspect-spill, stats, and
-// every network door — a mid-stream disconnect is truncation).  serve
+// 2 usage error (including an unknown --option), 3 corrupt or truncated
+// input (every command that reads traces or spill segments, and every
+// network door — a mid-stream disconnect is truncation).  serve
 // follows the same contract: an unloadable .jigc checkpoint or a
 // deployment that ends failed is 3; a missing trace directory is 1; a
 // SIGTERM'd daemon exits 0 after its final snapshot flush.
@@ -128,6 +128,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -663,8 +664,7 @@ int CmdInfo(const char* dir) {
 }
 
 int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json, bool use_mmap,
-             bool pin_threads) {
+             long spill_threshold, const char* stats_json, bool use_mmap) {
   TraceReadOptions read_options;
   read_options.use_mmap = use_mmap;
   TraceSet traces = TraceSet::OpenDirectory(dir, read_options);
@@ -684,7 +684,6 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   MergeConfig cfg;
   cfg.threads = threads;
-  cfg.pin_threads = pin_threads;
   if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
   if (spill_threshold > 0) {
     cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
@@ -752,10 +751,24 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
 // summary is identical to `jigtool merge` over the finished files (the
 // live stream is byte-identical to the batch stream by construction).
 int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
-              const char* spill_dir, long spill_threshold,
-              bool pin_threads) {
+              const char* spill_dir, long spill_threshold) {
+  // The writer may not have created any trace yet, but the directory
+  // itself must exist: a typo should fail fast, not after the settle
+  // timeout.
+  if (!std::filesystem::is_directory(dir)) {
+    std::fprintf(stderr, "no such directory: %s\n", dir);
+    return 1;
+  }
   std::printf("following %s ...\n", dir);
-  TraceSet traces = TraceSet::FollowDirectory(dir, radios);
+  TraceSet traces;
+  try {
+    traces = TraceSet::FollowDirectory(dir, radios);
+  } catch (const TraceError&) {
+    throw;  // corrupt input: exit 3, below
+  } catch (const std::runtime_error& e) {  // no traces before the deadline
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   std::printf("tailing %zu traces\n", traces.size());
 
   AnalysisBus bus;
@@ -765,7 +778,6 @@ int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   MergeConfig cfg;
   cfg.threads = threads;
-  cfg.pin_threads = pin_threads;
   if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
   if (spill_threshold > 0) {
     cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
@@ -1001,15 +1013,13 @@ int CmdTimeline(const char* dir, Micros span) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: jigtool demo|demo-live|info|merge|follow|stats|"
                  "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
                  "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] [--mmap] [--pin-threads] "
+                 "[--stats-json <file>] [--mmap] "
                  "[--tcp <port>]\n");
     return 2;
   }
@@ -1022,7 +1032,6 @@ int main(int argc, char** argv) {
   long spill_threshold = 0;
   long tcp_port = -1;
   bool use_mmap = false;
-  bool pin_threads = false;
   ServeOptions serve_opt;
   const char* ready_file = nullptr;
   std::vector<const char*> pos;
@@ -1062,10 +1071,6 @@ int main(int argc, char** argv) {
       use_mmap = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--pin-threads") == 0) {
-      pin_threads = true;
-      continue;
-    }
     if (std::strcmp(argv[i], "--spill-dir") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--spill-dir needs a directory argument\n");
@@ -1098,6 +1103,10 @@ int main(int argc, char** argv) {
       tcp_port = std::atol(argv[++i]);
       continue;
     }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+      return 2;
+    }
     pos.push_back(argv[i]);
   }
   const auto pos_long = [&pos](std::size_t i, long fallback) {
@@ -1128,13 +1137,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: --mmap only applies to merge (tail readers "
                  "re-poll a growing file); ignored for '%s'\n",
-                 cmd);
-  }
-  if (pin_threads && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "follow") != 0) {
-    std::fprintf(stderr,
-                 "warning: --pin-threads only applies to merge/follow; "
-                 "ignored for '%s'\n",
                  cmd);
   }
   if (std::strcmp(cmd, "demo") == 0) return CmdDemo(dir);
@@ -1200,12 +1202,12 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
   if (std::strcmp(cmd, "merge") == 0) {
     return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json, use_mmap, pin_threads);
+                    spill_threshold, stats_json, use_mmap);
   }
   if (std::strcmp(cmd, "follow") == 0) {
     return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),
                      static_cast<unsigned>(pos_long(1, 0)), spill_dir,
-                     spill_threshold, pin_threads);
+                     spill_threshold);
   }
   if (std::strcmp(cmd, "stats") == 0) {
     return CmdStats(dir, pos_long(0, 1), stats_json);
@@ -1216,4 +1218,20 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "unknown command: %s\n", cmd);
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Input errors no subcommand handled itself still honor the exit-code
+  // contract instead of aborting.
+  try {
+    return Run(argc, argv);
+  } catch (const TraceError& e) {  // corrupt or truncated input
+    std::fprintf(stderr, "%s\n", e.what());
+    return 3;
+  } catch (const std::filesystem::filesystem_error& e) {  // missing input
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

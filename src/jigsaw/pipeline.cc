@@ -20,19 +20,14 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace jig {
 namespace {
 
-// The total order both merge paths emit: timestamp, then channel.  Distinct
+// The total order the merge emits: timestamp, then channel.  Distinct
 // transmissions on one channel never tie below this key in practice, and
 // when they do (identical integer microsecond), unifier emission order is
-// preserved — identically in the single-threaded buffer (stable multimap)
-// and in the sharded k-way merge (per-shard FIFO).
+// preserved — FIFO in each shard's reorder buffer and queue, and the k-way
+// merge never reorders within a shard.
 using OrderKey = std::pair<UniversalMicros, std::uint8_t>;
 
 OrderKey KeyOf(const JFrame& jf) {
@@ -108,12 +103,13 @@ unsigned ResolveWorkers(unsigned threads, std::size_t shard_count) {
 struct PipelineMetrics {
   obs::Counter& shard_events = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_events_total",
-      "Capture events consumed by unifiers (all shards and single mode)");
+      "Capture events consumed by shard unifiers");
   obs::Counter& shard_jframes = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_jframes_total",
-      "JFrames produced by unifiers (all shards and single mode)");
+      "JFrames produced by shard unifiers");
   obs::Counter& rounds = obs::MetricRegistry::Global().GetCounter(
-      "jig_shard_rounds_total", "Sharded merge rounds executed");
+      "jig_shard_rounds_total",
+      "Merge rounds executed, by the worker pool or inline");
   obs::Gauge& queue_peak = obs::MetricRegistry::Global().GetGauge(
       "jig_shard_queue_peak",
       "High-watermark of any single shard queue depth");
@@ -122,7 +118,7 @@ struct PipelineMetrics {
       "Poll-thread wait at the round barrier (pool mode only)");
   obs::Counter& emitted = obs::MetricRegistry::Global().GetCounter(
       "jig_merge_jframes_emitted_total",
-      "JFrames emitted by the k-way merge (or single-mode reorder)");
+      "JFrames emitted by the k-way merge");
   obs::Histogram& emit_lag_us = obs::MetricRegistry::Global().GetHistogram(
       "jig_merge_emit_lag_us", obs::LatencyBucketsUs(),
       "Capture-time distance between the newest unified jframe and each "
@@ -135,10 +131,6 @@ struct PipelineMetrics {
   obs::Counter& arena_recycled = obs::MetricRegistry::Global().GetCounter(
       "jig_arena_jframes_recycled_total",
       "JFrame carcasses recycled through merge arena pools");
-  obs::Counter& pin_failures = obs::MetricRegistry::Global().GetCounter(
-      "jig_pipeline_pin_failures_total",
-      "Worker CPU-pinning attempts the kernel rejected (fell back to "
-      "normal scheduling)");
 };
 
 PipelineMetrics& Metrics() {
@@ -181,12 +173,13 @@ void ValidateMergeConfig(const MergeConfig& config) {
 // ---------------------------------------------------------------------------
 // MergeSession.
 //
-// Sharded mode runs in rounds: the worker pool steps every shard's unifier
-// (each bounded by the queue watermark), a barrier joins the round, then
-// the Poll() thread k-way merges the shard queues as far as every shard has
-// either a head or a final end-of-stream — the same gating rule as the
-// batch k-way merge, so the emitted order is byte-identical.  Between
-// rounds the workers are idle, which is what makes the session resumable:
+// The merge runs in rounds over channel shards: a round steps the shards'
+// unifiers, then the Poll() thread k-way merges the shard queues as far as
+// every shard has either a head or a final end-of-stream.  With more than
+// one worker, a pool steps every shard (each bounded by the queue
+// watermark) and a barrier joins the round; with one worker the Poll()
+// thread steps inline, and only the shards the k-way merge is waiting on.
+// Between rounds nothing runs, which is what makes the session resumable:
 // Poll() simply stops scheduling rounds once no shard can advance.
 
 struct MergeSession::Impl {
@@ -205,10 +198,15 @@ struct MergeSession::Impl {
     // Consumer-side staging for the k-way merge's peek (Pop() is
     // destructive); counts as retained.
     std::optional<JFrame> spill_head;
-    // Arena (MergeConfig::use_arena): the unifier acquires, the emit path
-    // and spill drain recycle.  Worker-phase and merge-phase accesses are
-    // serialized by the round barrier — see JFramePool.
+    // Arena: the unifier acquires, the emit path and spill drain recycle.
+    // Worker-phase and merge-phase accesses are serialized by the round
+    // barrier — see JFramePool.
     JFramePool pool;
+    // Unifier stats already folded into the shard counters.  Tracked
+    // against the unifier's totals, not per-step deltas, so the records its
+    // constructor reads (one head per trace) are counted too.
+    std::uint64_t events_published = 0;
+    std::uint64_t jframes_published = 0;
   };
 
   TraceSet& traces;
@@ -224,16 +222,9 @@ struct MergeSession::Impl {
   // a poll only reads records that arrived since the last one.
   std::vector<std::optional<std::int64_t>> window_end;
   BootstrapResult bootstrap;
-  UnifyStats final_stats;  // sharded stats, latched before teardown
-
-  // Single-threaded (legacy-exact) path.
-  bool single_mode = false;
-  std::unique_ptr<ReorderBuffer> single_reorder;
-  std::unique_ptr<Unifier> single_unifier;
-  JFramePool single_pool;
+  UnifyStats final_stats;  // shard stats, latched before teardown
   std::uint64_t arena_recycled_published = 0;  // counter delta tracking
 
-  // Sharded path.
   std::vector<ChannelShard> shards;
   bool partitioned = false;
   std::vector<std::unique_ptr<LiveShard>> live;
@@ -273,9 +264,8 @@ struct MergeSession::Impl {
     }
   }
 
-  // Every emission — single mode and k-way merge — funnels through here so
-  // the emitted counter, the emit frontier and the lag histogram cannot
-  // drift apart.
+  // Every emission funnels through here so the emitted counter, the emit
+  // frontier and the lag histogram cannot drift apart.
   void Emit(JFrame&& jf) {
     ++emitted;
     emit_frontier.store(jf.timestamp, std::memory_order_relaxed);
@@ -307,8 +297,6 @@ struct MergeSession::Impl {
     // Destroy the unifiers/reorder buffers before handing the shard streams
     // back (they hold references into the shard trace sets).
     live.clear();
-    single_unifier.reset();
-    single_reorder.reset();
     Reassemble();
   }
 
@@ -366,25 +354,6 @@ struct MergeSession::Impl {
   }
 
   void SetupMerge() {
-    if (config.threads == 1 || traces.size() <= 1) {
-      single_mode = true;
-      // After the user sink returns, whatever buffers it did not steal ride
-      // the carcass back into the pool.
-      single_reorder = std::make_unique<ReorderBuffer>(
-          EffectiveHorizon(config), [this](JFrame&& jf) {
-            Emit(std::move(jf));
-            if (config.use_arena) single_pool.Recycle(std::move(jf));
-          });
-      ReorderBuffer* reorder = single_reorder.get();
-      single_unifier = std::make_unique<Unifier>(
-          traces, bootstrap, config.unifier,
-          [this, reorder](JFrame&& jf) {
-            NoteCaptured(jf.timestamp);
-            reorder->Push(std::move(jf));
-          },
-          config.use_arena ? &single_pool : nullptr);
-      return;
-    }
     shards = traces.PartitionByChannel();
     partitioned = true;
     spill_budget.limit = config.max_spill_bytes;
@@ -403,7 +372,7 @@ struct MergeSession::Impl {
             NoteCaptured(jf.timestamp);
             reorder->Push(std::move(jf));
           },
-          config.use_arena ? &ls->pool : nullptr);
+          &ls->pool);
       if (!config.spill_dir.empty()) {
         ls->spill = std::make_unique<SpillQueue>(
             config.spill_dir,
@@ -434,7 +403,7 @@ struct MergeSession::Impl {
     while (!ls.queue.empty() && ls.spill->Push(ls.queue.front())) {
       // Push serialized without consuming; recycle the carcass (worker
       // thread, this shard's pool — the barrier orders it vs. emit).
-      if (config.use_arena) ls.pool.Recycle(std::move(ls.queue.front()));
+      ls.pool.Recycle(std::move(ls.queue.front()));
       ls.queue.pop_front();
       moved = true;
     }
@@ -444,8 +413,9 @@ struct MergeSession::Impl {
 
   // Steps one shard until it starves, exhausts, or its queue reaches the
   // watermark (with the spill tier engaged, the queue drains to disk
-  // instead, so only budget exhaustion still hits the watermark).  Returns
-  // true if anything was consumed, produced or spilled.
+  // instead, so only budget exhaustion still hits the watermark) — or, with
+  // `one_slice`, for at most one kUnifyStep slice.  Returns true if
+  // anything was consumed, produced or spilled.
   //
   // The engage decision runs once, at round entry: a queue still at or
   // past the threshold *here* is what the consumer's last drain pass
@@ -453,12 +423,8 @@ struct MergeSession::Impl {
   // unifier runs is not lag (the consumer never gets to run mid-round),
   // so it must not engage the tier: otherwise a plain batch merge with a
   // spill_dir would stage its entire stream through disk in round one.
-  bool StepShard(LiveShard& ls) {
+  bool StepShard(LiveShard& ls, bool one_slice) {
     if (ls.exhausted) return false;
-    // Metrics ride the stats deltas of the whole call — one pair of
-    // counter adds per StepShard, nothing per event.
-    const std::uint64_t events_at_entry = ls.unifier->stats().events_in;
-    const std::uint64_t jframes_at_entry = ls.unifier->stats().jframes;
     bool progress = MaybeSpill(ls);
     for (;;) {
       if (ls.spilling) progress = MaybeSpill(ls) || progress;
@@ -475,48 +441,29 @@ struct MergeSession::Impl {
         progress = true;
         break;
       }
+      if (one_slice) break;
     }
     if (ls.spilling) progress = MaybeSpill(ls) || progress;
+    // Metrics ride the stats deltas — one pair of counter adds per
+    // StepShard, nothing per event.
+    const UnifyStats& after = ls.unifier->stats();
     if (obs::Enabled()) {
       PipelineMetrics& m = Metrics();
-      const UnifyStats& after = ls.unifier->stats();
-      m.shard_events.Add(after.events_in - events_at_entry);
-      m.shard_jframes.Add(after.jframes - jframes_at_entry);
+      m.shard_events.Add(after.events_in - ls.events_published);
+      m.shard_jframes.Add(after.jframes - ls.jframes_published);
       m.queue_peak.UpdateMax(static_cast<std::int64_t>(ls.queue.size()));
     }
+    ls.events_published = after.events_in;
+    ls.jframes_published = after.jframes;
     return progress;
   }
 
   bool WorkerRound(unsigned w) {
     bool progress = false;
     for (std::size_t s = w; s < live.size(); s += workers) {
-      progress = StepShard(*live[s]) || progress;
+      progress = StepShard(*live[s], /*one_slice=*/false) || progress;
     }
     return progress;
-  }
-
-  // Best-effort round-robin CPU pinning for shard workers (Linux only;
-  // failure — a restricted affinity mask, fewer CPUs than advertised —
-  // falls back to normal scheduling).  Scheduling only: the round barrier
-  // fixes the merge order wherever the workers run.
-  void MaybePin(std::thread& t, unsigned index) {
-#if defined(__linux__)
-    if (!config.pin_threads) return;
-    unsigned ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0) ncpu = 1;
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    CPU_SET(index % ncpu, &cpus);
-    // "Silently a no-op" (pipeline.h) means the pipeline keeps working, not
-    // that the failure is invisible: count rejections so a deployment that
-    // thinks it pinned (cgroup cpuset, restricted mask) can see it did not.
-    if (pthread_setaffinity_np(t.native_handle(), sizeof(cpus), &cpus) != 0) {
-      if (obs::Enabled()) Metrics().pin_failures.Add(1);
-    }
-#else
-    (void)t;
-    (void)index;
-#endif
   }
 
   void StartPool() {
@@ -547,7 +494,6 @@ struct MergeSession::Impl {
           }
         }
       });
-      MaybePin(pool.back(), w);
     }
   }
 
@@ -562,12 +508,23 @@ struct MergeSession::Impl {
     pool.clear();
   }
 
-  // Runs one round over every shard; returns whether any shard progressed.
+  // Runs one round; returns whether any shard progressed.
   bool RunRound() {
     Metrics().rounds.Add(1);
     if (pool.empty()) {
+      // One worker: the Poll() thread steps inline, on demand — only the
+      // shards the k-way merge is waiting on (nothing queued, not yet
+      // exhausted), one slice each.  Stepping every shard up to the
+      // watermark instead would only buffer jframes the gated merge cannot
+      // emit yet: +50% peak RSS on a 156-radio merge.  A stepped queue is
+      // empty at round entry, so the inline path never engages the spill
+      // tier.
       bool progress = false;
-      for (auto& ls : live) progress = StepShard(*ls) || progress;
+      for (auto& ls : live) {
+        if (ls->queue.empty()) {
+          progress = StepShard(*ls, /*one_slice=*/true) || progress;
+        }
+      }
       return progress;
     }
     std::unique_lock lk(pool_mu);
@@ -655,14 +612,11 @@ struct MergeSession::Impl {
       Emit(std::move(jf));  // user code runs on the Poll() thread
       // Recycle what the sink left behind into the source shard's pool
       // (merge phase: the barrier orders this vs. that shard's worker).
-      if (config.use_arena) live[best]->pool.Recycle(std::move(jf));
+      live[best]->pool.Recycle(std::move(jf));
     }
   }
 
   std::size_t Retained() const {
-    if (single_mode) {
-      return single_reorder != nullptr ? single_reorder->size() : 0;
-    }
     std::size_t total = 0;
     for (const auto& ls : live) {
       // Spilled jframes live on disk, not in memory — only the staged
@@ -699,17 +653,12 @@ struct MergeSession::Impl {
   // carcasses, delta-tracked counter for lifetime recycles).  Runs on the
   // Poll() thread between rounds, so reading the shard pools is safe.
   void PublishArenaMetrics() {
-    if (!obs::Enabled() || !config.use_arena) return;
+    if (!obs::Enabled()) return;
     std::uint64_t pooled = 0;
     std::uint64_t recycled = 0;
-    if (single_mode) {
-      pooled = single_pool.pooled();
-      recycled = single_pool.recycled_total();
-    } else {
-      for (const auto& ls : live) {
-        pooled += ls->pool.pooled();
-        recycled += ls->pool.recycled_total();
-      }
+    for (const auto& ls : live) {
+      pooled += ls->pool.pooled();
+      recycled += ls->pool.recycled_total();
     }
     PipelineMetrics& m = Metrics();
     m.arena_pooled.Set(static_cast<std::int64_t>(pooled));
@@ -721,24 +670,10 @@ struct MergeSession::Impl {
 
   // ---- polling ------------------------------------------------------------
 
-  Status PollSingle() {
-    for (;;) {
-      const UnifyStep step = single_unifier->Step(kUnifyStep);
-      ObserveRetention();
-      if (step == UnifyStep::kStarved) return Status::kStarved;
-      if (step == UnifyStep::kExhausted) {
-        single_reorder->Flush();
-        done = true;
-        return Status::kDone;
-      }
-    }
-  }
-
   Status PollInner() {
     Metrics().polls.Add(1);
     if (done) return Status::kDone;
     if (!bootstrapped && !TryBootstrap()) return Status::kBootstrapping;
-    if (single_mode) return PollSingle();
     for (;;) {
       const bool stepped = RunRound();
       ObserveRetention();
@@ -768,7 +703,6 @@ struct MergeSession::Impl {
   }
 
   UnifyStats Stats() const {
-    if (single_unifier != nullptr) return single_unifier->stats();
     UnifyStats total = final_stats;
     for (const auto& ls : live) total += ls->unifier->stats();
     return total;

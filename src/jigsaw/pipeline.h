@@ -7,13 +7,14 @@
 // is a single pass over each trace — the paper's efficiency requirement for
 // online operation.
 //
-// Parallel operation (threads != 1): bootstrap still runs globally (channel
-// bridging needs every monitor's shared clock), then the trace set is
-// partitioned by channel and one unifier runs per channel shard on a small
-// thread pool.  Shard outputs are recombined by a bounded k-way merge keyed
-// on (timestamp, channel) — the same total order the single-threaded reorder
-// buffer emits — so the parallel stream is byte-identical to the legacy
-// single-threaded stream.
+// Sharding: bootstrap runs globally (channel bridging needs every monitor's
+// shared clock), then the trace set is partitioned by channel and one
+// unifier runs per channel shard.  Shard outputs are recombined by a
+// bounded k-way merge keyed on (timestamp, channel).  This is the only merge
+// path: `threads` decides how many workers step the shards (one worker
+// steps them inline on the calling thread), never which algorithm runs, so
+// every setting emits the same bytes — the same stream one global unifier
+// over the unpartitioned set would produce, sorted stably on that key.
 //
 // Live operation: MergeSession is the resumable form of the same pipeline.
 // It runs against tail-follow trace sources (TailFileTrace) that are still
@@ -47,13 +48,13 @@ struct MergeConfig {
   // the effective horizon is max(reorder_horizon, 2 * search_window), since
   // a group's median timestamp can trail its seed by a full window.
   Micros reorder_horizon = Milliseconds(50);
-  // Worker threads unifying channel shards.  1 = the exact legacy
-  // single-threaded path; 0 = auto (one worker per channel shard, capped by
-  // the hardware); N caps the pool at N workers, which then interleave the
-  // shards cooperatively.  Every setting produces a byte-identical jframe
-  // stream.
+  // Worker threads unifying channel shards.  1 = no pool: the calling
+  // thread steps the shards inline, only those the k-way merge is waiting
+  // on; 0 = auto (one worker per channel shard, capped by the hardware);
+  // N caps the pool at N workers, which then interleave the shards
+  // cooperatively.  Every setting produces a byte-identical jframe stream.
   unsigned threads = 1;
-  // ---- on-disk spill tier (sharded paths; see src/jigsaw/spill.h and
+  // ---- on-disk spill tier (see src/jigsaw/spill.h and
   // docs/ARCHITECTURE.md, "The spill tier") -------------------------------
   // Directory for spill segments; empty (the default) disables spilling.
   // When a shard's output queue still holds spill_threshold jframes at
@@ -68,8 +69,9 @@ struct MergeConfig {
   // the directory should be private to one session.
   // Spilling leaves the emitted stream byte-identical: on, off, or
   // engaging/disengaging mid-stream, for every `threads` setting (pinned in
-  // tests/spill_test.cc).  The single-threaded path (threads == 1) has no
-  // shard queues and therefore never spills.
+  // tests/spill_test.cc).  With one worker (threads == 1, or a single
+  // shard) the merge never spills: an inline shard is stepped only when its
+  // queue is empty, so no queue ever holds residue at round entry.
   std::filesystem::path spill_dir;
   // Queue depth that engages the spill tier.  Validated at entry when
   // spill_dir is set: must be positive and no larger than
@@ -80,17 +82,6 @@ struct MergeConfig {
   // pipeline degrades to the plain watermark backpressure it has without a
   // spill tier.
   std::uint64_t max_spill_bytes = 0;
-  // Recycle emitted jframe carcasses through per-unifier JFramePools so the
-  // steady-state merge allocates nothing per jframe (body/instance buffers
-  // circulate).  Purely an allocation-strategy knob: the emitted stream is
-  // byte-identical on or off, for every `threads` setting (pinned in
-  // tests/pipeline_test.cc).
-  bool use_arena = true;
-  // Pin shard worker threads round-robin across CPUs (Linux:
-  // pthread_setaffinity_np; elsewhere, and on failure, silently a no-op).
-  // Scheduling only — the round barrier fixes the merge order regardless of
-  // where workers run, so the stream stays byte-identical.
-  bool pin_threads = false;
 };
 
 // Throws std::invalid_argument on inconsistent configuration (today:
@@ -118,10 +109,10 @@ MergeStreamStats MergeTracesStreaming(TraceSet& traces,
                                       const MergeConfig& config,
                                       std::function<void(JFrame&&)> sink);
 
-// Per-shard buffering bound of the parallel paths: a shard whose output
-// queue holds this many jframes stops unifying until the consumer drains
-// it, so retention stays bounded even when one radio lags far behind the
-// rest (the lagging shard gates emission; the others throttle here).
+// Per-shard buffering bound: a shard whose output queue holds this many
+// jframes stops unifying until the consumer drains it, so retention stays
+// bounded even when one radio lags far behind the rest (the lagging shard
+// gates emission; the others throttle here).
 inline constexpr std::size_t kMergeQueueWatermark = 4096;
 
 // Lag between a captured frontier and an emitted timestamp, clamped at
@@ -187,7 +178,7 @@ class MergeSession {
   // bounded-retention guarantee under starved/uneven sources.
   std::size_t retained_jframes() const;
   std::size_t peak_retained_jframes() const;
-  // Spill-tier counters (always 0 with spilling disabled or threads == 1):
+  // Spill-tier counters (always 0 with spilling disabled or one worker):
   // lifetime jframes staged through disk, and the current on-disk footprint
   // of not-yet-reclaimed segments.
   std::uint64_t spilled_jframes() const;

@@ -94,14 +94,27 @@ TEST_F(CliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunJigtool("stats " + dir_.string() + " --stats-json"), 2);
 }
 
-TEST_F(CliTest, StatsOnMissingOrEmptyInputExitsOne) {
+TEST_F(CliTest, MissingOrEmptyInputExitsOne) {
   EXPECT_EQ(RunJigtool("stats " + (dir_ / "nonexistent").string()), 1);
   EXPECT_EQ(RunJigtool("stats " + dir_.string()), 1);  // no .jigt files
+  EXPECT_EQ(RunJigtool("merge " + (dir_ / "nonexistent").string()), 1);
+  EXPECT_EQ(RunJigtool("follow " + (dir_ / "nonexistent").string()), 1);
 }
 
-TEST_F(CliTest, StatsOnCorruptTraceExitsThree) {
+// An unknown option is a usage error, never a positional argument: read as
+// one, `merge <dir> --pin-threads` would silently run with threads =
+// atol("--pin-threads") = 0, i.e. auto.
+TEST_F(CliTest, UnknownOptionExitsTwo) {
+  EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --pin-threads"), 2);
+  EXPECT_EQ(RunJigtool("follow " + dir_.string() + " --no-such-flag"), 2);
+  EXPECT_EQ(RunJigtool("stats " + dir_.string() + " --bogus 1"), 2);
+}
+
+TEST_F(CliTest, CorruptTraceExitsThree) {
   WriteGarbage(dir_ / "bad.jigt");
   EXPECT_EQ(RunJigtool("stats " + dir_.string()), 3);
+  EXPECT_EQ(RunJigtool("merge " + dir_.string()), 3);
+  EXPECT_EQ(RunJigtool("info " + dir_.string()), 3);
 }
 
 TEST_F(CliTest, InspectSpillOnMissingOrEmptyInputExitsOne) {

@@ -23,6 +23,7 @@
 #include "jframe_equality.h"
 #include "jigsaw/distributed.h"
 #include "jigsaw/pipeline.h"
+#include "merge_oracle.h"
 #include "obs/metrics.h"
 #include "synthetic.h"
 #include "trace/net.h"
@@ -38,6 +39,7 @@ namespace fs = std::filesystem;
 using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::MultiChannelNetwork;
+using testing::OracleMerge;
 
 CaptureRecord MakeRecord(LocalMicros ts) {
   CaptureRecord rec;
@@ -239,9 +241,10 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
   const fs::path all = dir_ / "all";
   const auto paths = mem.WriteDirectory(all);
 
-  // The single-node reference: the legacy-exact threads=1 batch merge.
+  // The single-node reference: the independent oracle merge
+  // (merge_oracle.h) of the same files.
   TraceSet full = TraceSet::OpenDirectory(all);
-  const MergeResult batch = MergeTraces(full, MergeConfig{});
+  const MergeResult batch = OracleMerge(full);
   ASSERT_GT(batch.jframes.size(), 100u);
 
   // Split radios {0,1,2} | {3,4,5} across two wings.  Radios sharing a
@@ -334,7 +337,7 @@ TEST_F(DistributedTest, RedialWithSameSourceResumesInsteadOfDuplicating) {
 
   // Reference: single-node batch merge of the same (quantized) files.
   TraceSet full = TraceSet::OpenDirectory(all);
-  const MergeResult batch = MergeTraces(full, MergeConfig{});
+  const MergeResult batch = OracleMerge(full);
   ASSERT_GT(batch.jframes.size(), 50u);
 
   // Re-read each radio's records for the senders.

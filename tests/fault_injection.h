@@ -47,13 +47,15 @@ class KillPoint : public std::runtime_error {
 // behaviour a real half-dead source would show on every pass.
 class FaultyStream final : public RecordStream {
  public:
+  // Every member has a default initializer, so designated initializers
+  // naming only some faults stay clean under -Wmissing-field-initializers.
   struct Faults {
     // Throw KillPoint when the consumer pulls record #kill_at.
-    std::optional<std::uint64_t> kill_at;
+    std::optional<std::uint64_t> kill_at = std::nullopt;
     // From record #stall_at on, behave like a disconnected tail: the
     // record is withheld (NextRef -> nullptr, Finalized() -> false) until
     // Release().
-    std::optional<std::uint64_t> stall_at;
+    std::optional<std::uint64_t> stall_at = std::nullopt;
     // Withhold the finalize marker until Release() even after the inner
     // stream finalizes (a radio that lags on its marker).
     bool delay_finalize = false;

@@ -20,6 +20,7 @@
 #include "jigsaw/link.h"
 #include "jigsaw/pipeline.h"
 #include "link_equality.h"
+#include "merge_oracle.h"
 #include "synthetic.h"
 #include "trace/tail_trace.h"
 #include "trace/trace_set.h"
@@ -33,6 +34,7 @@ using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::ExpectLinkIdentical;
 using testing::MultiChannelNetwork;
+using testing::OracleMerge;
 
 // Per-radio record scripts extracted from a synthetic network, plus the
 // cursor state of an incremental writer over them.
@@ -98,11 +100,11 @@ LiveRun RunLiveSession(const fs::path& dir, std::size_t radios,
   return run;
 }
 
-MergeResult BatchMerge(const fs::path& dir, unsigned threads = 1) {
+// The batch reference: the independent oracle merge (merge_oracle.h) of
+// the finished files.
+MergeResult BatchMerge(const fs::path& dir) {
   TraceSet traces = TraceSet::OpenDirectory(dir);
-  MergeConfig cfg;
-  cfg.threads = threads;
-  return MergeTraces(traces, cfg);
+  return OracleMerge(traces);
 }
 
 class LiveIngestTest : public ::testing::Test {
@@ -152,7 +154,7 @@ TEST_P(LiveVsBatch, ByteIdenticalToBatchOfFinishedFiles) {
   const LiveRun live = RunLiveSession(dir_, n, threads);
   writer_thread.join();
 
-  const MergeResult batch = BatchMerge(dir_);  // threads=1 legacy reference
+  const MergeResult batch = BatchMerge(dir_);
   ASSERT_GT(batch.jframes.size(), 100u);
   ExpectIdenticalStreams(live.jframes, batch.jframes);
   ExpectEqualStats(live.stats.stats, batch.stats);

@@ -1,7 +1,8 @@
 // Merge-pipeline tests: configuration validation, shard-mergeable stats,
-// channel partitioning, and the parallel determinism contract — the
-// channel-sharded merge (threads=N) must emit a stream byte-identical to
-// the legacy single-threaded merge (threads=1).
+// channel partitioning, and the determinism contract — the channel-sharded
+// merge must emit, at every `threads` setting, the stream of the
+// independent reference in merge_oracle.h (one global unifier, stably
+// sorted).
 #include "jigsaw/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "jframe_equality.h"
+#include "merge_oracle.h"
 #include "sim/scenario.h"
 #include "synthetic.h"
 
@@ -20,6 +22,7 @@ namespace {
 using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::MultiChannelNetwork;
+using testing::OracleMerge;
 
 TEST(MergeConfigValidation, RejectsHorizonNotExceedingSearchWindow) {
   TraceSet empty;
@@ -76,18 +79,20 @@ TEST(UnifyStatsTest, OperatorPlusEqualsSumsEveryCounter) {
 }
 
 TEST(UnifyStatsTest, ShardMergedStatsEqualSinglePass) {
-  // The parallel path sums per-shard UnifyStats with operator+=; the sum
-  // must equal the stats of the legacy single-queue pass over the same
-  // multi-channel scenario.
+  // The merge sums per-shard UnifyStats with operator+=; at every thread
+  // count the sum must equal the stats of one global unifier pass over the
+  // same multi-channel scenario.
   auto single_traces = MultiChannelNetwork(11).Build();
-  auto sharded_traces = MultiChannelNetwork(11).Build();
-  MergeConfig single_cfg;  // threads = 1
-  MergeConfig sharded_cfg;
-  sharded_cfg.threads = 3;
-  const auto single = MergeTraces(single_traces, single_cfg);
-  const auto sharded = MergeTraces(sharded_traces, sharded_cfg);
+  const auto single = OracleMerge(single_traces);
   ASSERT_GT(single.stats.jframes, 100u);
-  ExpectEqualStats(single.stats, sharded.stats);
+  for (unsigned threads : {1u, 2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto sharded_traces = MultiChannelNetwork(11).Build();
+    MergeConfig sharded_cfg;
+    sharded_cfg.threads = threads;
+    const auto sharded = MergeTraces(sharded_traces, sharded_cfg);
+    ExpectEqualStats(single.stats, sharded.stats);
+  }
 }
 
 TEST(BootstrapResultTest, SliceThenMergeReassembles) {
@@ -139,17 +144,17 @@ TEST(TraceSetPartition, RoundTripsThroughShards) {
   }
 }
 
-// The determinism contract, satellite-mandated across >= 3 seeded
-// multi-channel scenarios: every thread setting produces the same stream.
+// The determinism contract across >= 3 seeded multi-channel scenarios:
+// every thread setting produces the oracle's stream.
 class ParallelDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParallelDeterminism, ByteIdenticalAcrossThreadCounts) {
   const std::uint64_t seed = GetParam();
   auto base_traces = MultiChannelNetwork(seed).Build();
-  const auto base = MergeTraces(base_traces);  // threads = 1 (legacy)
+  const auto base = OracleMerge(base_traces);
   ASSERT_GT(base.jframes.size(), 100u);
 
-  for (unsigned threads : {2u, 3u, 0u}) {
+  for (unsigned threads : {1u, 2u, 3u, 0u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     auto traces = MultiChannelNetwork(seed).Build();
     MergeConfig cfg;
@@ -165,8 +170,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism,
 
 // The observability contract: metrics are write-only from the pipeline's
 // point of view, so toggling the registry on/off must not change a single
-// emitted byte — in the legacy single-threaded path or the sharded one.
+// emitted byte — with the shards stepped inline or by a pool.
 TEST(MetricsDeterminism, StreamIsByteIdenticalWithMetricsToggled) {
+  auto oracle_traces = MultiChannelNetwork(7).Build();
+  const auto oracle = OracleMerge(oracle_traces);
   for (unsigned threads : {1u, 3u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     MergeConfig cfg;
@@ -182,14 +189,43 @@ TEST(MetricsDeterminism, StreamIsByteIdenticalWithMetricsToggled) {
     const auto without_metrics = MergeTraces(off_traces, cfg);
     obs::SetEnabled(true);
 
-    ExpectIdenticalStreams(with_metrics.jframes, without_metrics.jframes);
-    ExpectEqualStats(with_metrics.stats, without_metrics.stats);
+    ExpectIdenticalStreams(oracle.jframes, with_metrics.jframes);
+    ExpectIdenticalStreams(oracle.jframes, without_metrics.jframes);
+    ExpectEqualStats(oracle.stats, with_metrics.stats);
+    ExpectEqualStats(oracle.stats, without_metrics.stats);
   }
 }
 
-TEST(ParallelMerge, ScenarioStreamMatchesLegacy) {
+// Metric names mean the same thing in every threading mode: whether the
+// shards are stepped inline (threads=1) or by a pool (auto), the shard
+// counters advance by exactly the merge's own UnifyStats.
+TEST(MetricsConsistency, ShardCountersMatchStatsInEveryThreadMode) {
+  obs::SetEnabled(true);
+  for (unsigned threads : {1u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto traces = MultiChannelNetwork(5).Build();
+    MergeConfig cfg;
+    cfg.threads = threads;
+    const auto before = obs::MetricRegistry::Global().Collect();
+    const auto result = MergeTraces(traces, cfg);
+    const auto after = obs::MetricRegistry::Global().Collect();
+    const auto delta = [&](const char* name) {
+      return after.Value(name) - before.Value(name);
+    };
+    ASSERT_GT(result.stats.jframes, 100u);
+    EXPECT_EQ(delta("jig_shard_events_total"),
+              static_cast<std::int64_t>(result.stats.events_in));
+    EXPECT_EQ(delta("jig_shard_jframes_total"),
+              static_cast<std::int64_t>(result.stats.jframes));
+    EXPECT_EQ(delta("jig_merge_jframes_emitted_total"),
+              static_cast<std::int64_t>(result.jframes.size()));
+    EXPECT_GT(delta("jig_shard_rounds_total"), 0);
+  }
+}
+
+TEST(ParallelMerge, ScenarioStreamMatchesOracle) {
   // End-to-end on the full simulator (39-pod channel plan 1/6/1/11): the
-  // sharded merge must reproduce the legacy stream exactly.
+  // sharded merge must reproduce the oracle's stream exactly.
   ScenarioConfig cfg;
   cfg.seed = 77;
   cfg.duration = Seconds(2);
@@ -199,78 +235,50 @@ TEST(ParallelMerge, ScenarioStreamMatchesLegacy) {
   scenario.Run();
   auto traces = scenario.TakeTraces();
 
-  const auto legacy = MergeTraces(traces);
-  MergeConfig pcfg;
-  pcfg.threads = 0;  // auto
-  const auto parallel = MergeTraces(traces, pcfg);
-  ASSERT_GT(legacy.jframes.size(), 500u);
-  ExpectIdenticalStreams(legacy.jframes, parallel.jframes);
-  ExpectEqualStats(legacy.stats, parallel.stats);
-  // The trace set must be usable again after the parallel run (partition
-  // is reversed internally): a third merge sees the same stream.
-  const auto again = MergeTraces(traces, pcfg);
-  ExpectIdenticalStreams(legacy.jframes, again.jframes);
+  const auto oracle = OracleMerge(traces);
+  ASSERT_GT(oracle.jframes.size(), 500u);
+  // Every merge reuses the one trace set: the partition is reversed when a
+  // session completes, so each run must see the same stream again.
+  for (unsigned threads : {1u, 0u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MergeConfig pcfg;
+    pcfg.threads = threads;
+    const auto merged = MergeTraces(traces, pcfg);
+    ExpectIdenticalStreams(oracle.jframes, merged.jframes);
+    ExpectEqualStats(oracle.stats, merged.stats);
+  }
 }
 
-// The performance-knob matrix: mmap'd trace reads, arena recycling and
-// thread count are pure speed knobs — every combination must emit the
-// stream the defaults emit, byte for byte.  The traces go through a .jigt
-// round trip so the mmap'd read path is actually exercised.
-TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapArenaThreads) {
+// The performance-knob matrix: mmap'd trace reads and thread count are
+// pure speed knobs — every combination must emit the oracle's stream, byte
+// for byte.  The traces go through a .jigt round trip so the mmap'd read
+// path is actually exercised (the oracle reads the same files).
+TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapThreads) {
   namespace fs = std::filesystem;
-  auto mem_traces = MultiChannelNetwork(21).Build();
-  const auto base = MergeTraces(mem_traces);  // threads=1, defaults
-  ASSERT_GT(base.jframes.size(), 100u);
   const fs::path dir =
       fs::temp_directory_path() / "jig_pipeline_knob_matrix";
   fs::remove_all(dir);
-  mem_traces.WriteDirectory(dir);
+  MultiChannelNetwork(21).Build().WriteDirectory(dir);
+  TraceSet oracle_traces = TraceSet::OpenDirectory(dir);
+  const auto base = OracleMerge(oracle_traces);
+  ASSERT_GT(base.jframes.size(), 100u);
 
   for (bool use_mmap : {false, true}) {
-    for (bool use_arena : {false, true}) {
-      for (unsigned threads : {1u, 2u, 0u}) {
-        SCOPED_TRACE("mmap=" + std::to_string(use_mmap) +
-                     " arena=" + std::to_string(use_arena) +
-                     " threads=" + std::to_string(threads));
-        TraceReadOptions opts;
-        opts.use_mmap = use_mmap;
-        TraceSet traces = TraceSet::OpenDirectory(dir, opts);
-        ASSERT_EQ(traces.size(), mem_traces.size());
-        MergeConfig cfg;
-        cfg.threads = threads;
-        cfg.use_arena = use_arena;
-        const auto result = MergeTraces(traces, cfg);
-        ExpectIdenticalStreams(base.jframes, result.jframes);
-        ExpectEqualStats(base.stats, result.stats);
-      }
+    for (unsigned threads : {1u, 2u, 0u}) {
+      SCOPED_TRACE("mmap=" + std::to_string(use_mmap) +
+                   " threads=" + std::to_string(threads));
+      TraceReadOptions opts;
+      opts.use_mmap = use_mmap;
+      TraceSet traces = TraceSet::OpenDirectory(dir, opts);
+      ASSERT_EQ(traces.size(), oracle_traces.size());
+      MergeConfig cfg;
+      cfg.threads = threads;
+      const auto result = MergeTraces(traces, cfg);
+      ExpectIdenticalStreams(base.jframes, result.jframes);
+      ExpectEqualStats(base.stats, result.stats);
     }
   }
   fs::remove_all(dir);
-}
-
-// pin_threads only nails workers to CPUs; the round barrier fixes the
-// merge order wherever they run, so the stream must not move by a byte.
-TEST(PerfKnobMatrix, PinnedWorkersMatchUnpinnedStream) {
-  auto base_traces = MultiChannelNetwork(23).Build();
-  const auto base = MergeTraces(base_traces);
-  ASSERT_GT(base.jframes.size(), 100u);
-  for (unsigned threads : {2u, 0u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto traces = MultiChannelNetwork(23).Build();
-    MergeConfig cfg;
-    cfg.threads = threads;
-    cfg.pin_threads = true;
-    const auto pinned = MergeTraces(traces, cfg);
-    ExpectIdenticalStreams(base.jframes, pinned.jframes);
-    ExpectEqualStats(base.stats, pinned.stats);
-  }
-  // The pinning path must report rejected affinity calls instead of
-  // swallowing the return value: the failure counter is registered (even if
-  // zero on an unrestricted machine), so a cpuset-restricted deployment can
-  // tell "pinned" from "silently fell back".
-  const auto snapshot = obs::MetricRegistry::Global().Collect();
-  ASSERT_NE(snapshot.Find("jig_pipeline_pin_failures_total"), nullptr);
-  EXPECT_GE(snapshot.Value("jig_pipeline_pin_failures_total"), 0);
 }
 
 TEST(ParallelMerge, SinkRunsOnCallingThread) {

@@ -20,6 +20,7 @@
 #include "jframe_equality.h"
 #include "jigsaw/pipeline.h"
 #include "jigsaw/spill.h"
+#include "merge_oracle.h"
 #include "synthetic.h"
 #include "trace/trace_set.h"
 
@@ -30,6 +31,7 @@ namespace fs = std::filesystem;
 using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::MultiChannelNetwork;
+using testing::OracleMerge;
 
 JFrame SampleJFrame(int salt) {
   JFrame jf;
@@ -224,9 +226,9 @@ class SpillDeterminism : public SpillTest,
 
 TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   const unsigned threads = GetParam();
-  // The reference: legacy single-threaded merge, no spill.
+  // The reference: the independent oracle merge (merge_oracle.h).
   TraceSet reference_traces = MultiChannelNetwork(77).Build();
-  const MergeResult reference = MergeTraces(reference_traces);
+  const MergeResult reference = OracleMerge(reference_traces);
   ASSERT_GT(reference.jframes.size(), 100u);
 
   // The tier engages on actual lag (queue residue at worker-round entry),
@@ -234,7 +236,7 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   // disk — SpillLaggard pins that the disk path really runs under lag.
   // Here the pin is the determinism contract: whatever each threshold
   // makes the tier do (including engaging and disengaging mid-stream),
-  // the stream must be byte-identical to the no-spill legacy reference.
+  // the stream must be byte-identical to the oracle.
   const SpillMode modes[] = {
       {"disabled", false, 0},
       {"forced", true, 1},     // any round residue at all rides the disk
@@ -256,7 +258,12 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
     ASSERT_EQ(session.Poll(), MergeSession::Status::kDone);
     ExpectIdenticalStreams(streamed, reference.jframes);
     ExpectEqualStats(session.stats(), reference.stats);
-    if (mode.enabled && threads != 1) {
+    if (threads == 1) {
+      // One worker steps a shard only while its queue is empty, so no
+      // queue ever reaches even a threshold of 1 at round entry.
+      EXPECT_EQ(session.spilled_jframes(), 0u);
+    }
+    if (mode.enabled) {
       // Completion reclaims every segment: nothing may outlive the run.
       EXPECT_EQ(session.spill_bytes_on_disk(), 0u);
       std::size_t leftovers = 0;
@@ -364,7 +371,7 @@ TEST_P(SpillLaggard, SpillsWhileGatedAndDrainsByteIdentical) {
   EXPECT_EQ(session.spill_bytes_on_disk(), 0u);
 
   TraceSet batch_traces = TraceSet::OpenDirectory(trace_dir);
-  const MergeResult batch = MergeTraces(batch_traces);
+  const MergeResult batch = OracleMerge(batch_traces);
   ASSERT_GT(batch.jframes.size(), 100u);
   ExpectIdenticalStreams(streamed, batch.jframes);
   ExpectEqualStats(session.stats(), batch.stats);
@@ -408,7 +415,7 @@ TEST_F(SpillTest, BudgetExhaustionDegradesToWatermarkBackpressure) {
   }
 
   TraceSet batch_traces = TraceSet::OpenDirectory(trace_dir);
-  const MergeResult batch = MergeTraces(batch_traces);
+  const MergeResult batch = OracleMerge(batch_traces);
   ExpectIdenticalStreams(streamed, batch.jframes);
 }
 
