@@ -12,7 +12,6 @@
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
-//                 [--mmap]
 //                                   run the merge, print summary statistics
 //                                   (threads: 0 = auto, 1 = one worker, on
 //                                   the calling thread;
@@ -22,16 +21,11 @@
 //                                   depth that engages the tier;
 //                                   --stats-json writes the pipeline metric
 //                                   registry as JSON after the run;
-//                                   --mmap memory-maps the trace files, with
-//                                   silent fallback to buffered reads.
-//                                   Neither threads nor --mmap changes the
-//                                   output)
+//                                   threads never changes the output)
 //   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
 //                                   tail a directory that is still being
 //                                   written: resumable MergeSession +
 //                                   analysis bus, merge summary at the end
-//                                   (tail readers always use buffered reads;
-//                                   --mmap does not apply)
 //   jigtool stats <dir> [interval_s] [--stats-json <file>]
 //                                   run (or tail) the merge and expose the
 //                                   metric registry in Prometheus text
@@ -664,10 +658,8 @@ int CmdInfo(const char* dir) {
 }
 
 int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json, bool use_mmap) {
-  TraceReadOptions read_options;
-  read_options.use_mmap = use_mmap;
-  TraceSet traces = TraceSet::OpenDirectory(dir, read_options);
+             long spill_threshold, const char* stats_json) {
+  TraceSet traces = TraceSet::OpenDirectory(dir);
   if (traces.empty()) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
@@ -1019,7 +1011,7 @@ int Run(int argc, char** argv) {
                  "usage: jigtool demo|demo-live|info|merge|follow|stats|"
                  "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
                  "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] [--mmap] "
+                 "[--stats-json <file>] "
                  "[--tcp <port>]\n");
     return 2;
   }
@@ -1031,7 +1023,6 @@ int Run(int argc, char** argv) {
   const char* stats_json = nullptr;
   long spill_threshold = 0;
   long tcp_port = -1;
-  bool use_mmap = false;
   ServeOptions serve_opt;
   const char* ready_file = nullptr;
   std::vector<const char*> pos;
@@ -1065,10 +1056,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--until-done") == 0) {
       serve_opt.until_done = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--mmap") == 0) {
-      use_mmap = true;
       continue;
     }
     if (std::strcmp(argv[i], "--spill-dir") == 0) {
@@ -1131,12 +1118,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: --stats-json only applies to merge/stats; "
                  "ignored for '%s'\n",
-                 cmd);
-  }
-  if (use_mmap && std::strcmp(cmd, "merge") != 0) {
-    std::fprintf(stderr,
-                 "warning: --mmap only applies to merge (tail readers "
-                 "re-poll a growing file); ignored for '%s'\n",
                  cmd);
   }
   if (std::strcmp(cmd, "demo") == 0) return CmdDemo(dir);
@@ -1202,7 +1183,7 @@ int Run(int argc, char** argv) {
   if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
   if (std::strcmp(cmd, "merge") == 0) {
     return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json, use_mmap);
+                    spill_threshold, stats_json);
   }
   if (std::strcmp(cmd, "follow") == 0) {
     return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),

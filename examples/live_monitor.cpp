@@ -21,17 +21,24 @@
 // Usage: ./build/examples/live_monitor [seconds] [threads]
 //        ./build/examples/live_monitor --follow <dir> [radios] [threads]
 //            [--spill-dir <sdir>] [--metrics-interval <s>]
+//
+// Exit codes (jigtool's contract): 0 success, 1 missing directory or other
+// runtime failure, 2 usage error (an unknown --option included), 3 corrupt
+// or truncated trace input.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
+#include <stdexcept>
 #include <thread>
 
 #include "jigsaw/analysis/bus.h"
 #include "jigsaw/pipeline.h"
 #include "obs/export.h"
 #include "sim/scenario.h"
+#include "trace/trace_file.h"
 
 namespace {
 
@@ -56,6 +63,13 @@ std::string WallClockNow() {
 
 int RunFollow(const char* dir, std::size_t radios, unsigned threads,
               const char* spill_dir, long metrics_interval_s) {
+  // The writer may not have created any trace yet, but the directory
+  // itself must exist: a typo should fail fast, not after the settle
+  // timeout.
+  if (!std::filesystem::is_directory(dir)) {
+    std::fprintf(stderr, "no such directory: %s\n", dir);
+    return 1;
+  }
   std::printf("following %s ...\n", dir);
   TraceSet traces = TraceSet::FollowDirectory(dir, radios);
   std::printf("tailing %zu traces\n", traces.size());
@@ -144,10 +158,7 @@ int RunFollow(const char* dir, std::size_t radios, unsigned threads,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace jig;
+int Run(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--follow") == 0) {
     const char* spill_dir = nullptr;
     long metrics_interval_s = 0;
@@ -170,6 +181,10 @@ int main(int argc, char** argv) {
         metrics_interval_s = std::atol(argv[++i]);
         continue;
       }
+      if (std::strncmp(argv[i], "--", 2) == 0) {
+        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        return 2;
+      }
       pos.push_back(argv[i]);
     }
     if (pos.empty()) {
@@ -186,6 +201,12 @@ int main(int argc, char** argv) {
                      static_cast<unsigned>(
                          pos.size() > 2 ? std::atol(pos[2]) : 0),
                      spill_dir, metrics_interval_s);
+  }
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+      return 2;
+    }
   }
   const Micros duration = Seconds(argc > 1 ? std::atol(argv[1]) : 15);
   const auto threads =
@@ -257,4 +278,19 @@ int main(int argc, char** argv) {
               tcp_loss.report().aggregate_wireless_rate,
               link.peak_window_jframes());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Failures surface as exit codes, never as an uncaught-exception abort.
+  try {
+    return Run(argc, argv);
+  } catch (const jig::TraceError& e) {  // corrupt or truncated input
+    std::fprintf(stderr, "%s\n", e.what());
+    return 3;
+  } catch (const std::exception& e) {  // e.g. no traces before the deadline
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

@@ -2,11 +2,9 @@
 //
 // Invariant under test: for ANY file contents, TraceFileReader either
 // iterates to end-of-trace or throws exactly the documented taxonomy
-// (TraceError: TraceTruncatedError / TraceCorruptError).  Both the
-// buffered-FILE* and mmap block paths are driven, since they bound-check
-// independently.  A crash, hang, descriptor leak (ASan reports leaked
-// stdio buffers at exit), OOM from hostile index counts, or any other
-// exception type is a bug.
+// (TraceError: TraceTruncatedError / TraceCorruptError).  A crash, hang,
+// descriptor leak (ASan reports leaked stdio buffers at exit), OOM from
+// hostile index counts, or any other exception type is a bug.
 #include <unistd.h>
 
 #include <cstddef>
@@ -33,9 +31,9 @@ const std::filesystem::path& ScratchPath() {
   return path;
 }
 
-void Drive(const std::filesystem::path& path, bool use_mmap) {
+void Drive(const std::filesystem::path& path) {
   try {
-    jig::TraceFileReader reader(path, {.use_mmap = use_mmap});
+    jig::TraceFileReader reader(path);
     while (reader.Next()) {
     }
   } catch (const jig::TraceError&) {
@@ -53,7 +51,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     f.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(size));
   }
-  Drive(path, /*use_mmap=*/false);
-  Drive(path, /*use_mmap=*/true);
+  Drive(path);
   return 0;
 }

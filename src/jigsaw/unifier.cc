@@ -27,14 +27,14 @@ Unifier::Unifier(TraceSet& traces, const BootstrapResult& bootstrap,
 }
 
 void Unifier::QueuePush(QueueEntry entry) {
-  queue_.push_back(entry);
-  std::push_heap(queue_.begin(), queue_.end(),
-                 [](const QueueEntry& a, const QueueEntry& b) { return b < a; });
+  // Descending order: insert before the first entry that sorts below.
+  const auto at = std::lower_bound(
+      queue_.begin(), queue_.end(), entry,
+      [](const QueueEntry& a, const QueueEntry& b) { return b < a; });
+  queue_.insert(at, entry);
 }
 
 Unifier::QueueEntry Unifier::QueuePopMin() {
-  std::pop_heap(queue_.begin(), queue_.end(),
-                [](const QueueEntry& a, const QueueEntry& b) { return b < a; });
   const QueueEntry entry = queue_.back();
   queue_.pop_back();
   return entry;
@@ -120,7 +120,7 @@ void Unifier::ProcessOneGroup() {
   candidates_.push_back(seed_entry.trace);
   const double window_end =
       seed_entry.universal + static_cast<double>(config_.search_window);
-  while (!queue_.empty() && queue_.front().universal <= window_end) {
+  while (!queue_.empty() && queue_.back().universal <= window_end) {
     candidates_.push_back(QueuePopMin().trace);
   }
 
@@ -178,8 +178,12 @@ void Unifier::ProcessOneGroup() {
     }
     (matches ? group_ : leftovers_).push_back(t);
   }
-  for (std::size_t t : leftovers_) {
-    QueuePush(QueueEntry{heads_[t]->universal, t});
+  // Leftovers go straight back on the tail, no search: each was popped
+  // from inside the window, so its key lies below every entry still
+  // queued, and walking them in reverse candidate (ascending) order keeps
+  // the vector descending.
+  for (auto it = leftovers_.rbegin(); it != leftovers_.rend(); ++it) {
+    queue_.push_back(QueueEntry{heads_[*it]->universal, *it});
   }
 
   if (!rep.valid_frame) {

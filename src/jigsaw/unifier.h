@@ -147,7 +147,9 @@ class Unifier {
   // Re-attempts every starved trace; true when none remain starved.
   bool RefillStarved();
   void ProcessOneGroup();
+  // Binary-search insert into queue_.
   void QueuePush(QueueEntry entry);
+  // Removes and returns queue_'s minimum (its back).
   QueueEntry QueuePopMin();
 
   TraceSet& traces_;
@@ -157,10 +159,13 @@ class Unifier {
   std::vector<TraceClockState> clocks_;
   std::vector<bool> active_;            // synced and not exhausted
   std::vector<std::optional<Head>> heads_;
-  // Binary min-heap on QueueEntry (std::push_heap/pop_heap with a reversed
-  // comparator).  Replaced std::set, which spent ~24% of merge runtime on
-  // node allocation and pointer chasing; pop order is identical because the
-  // key order is strict and total.
+  // One head per active trace, kept sorted in descending QueueEntry order
+  // so the minimum sits at the back.  A group's search window is then the
+  // vector's tail: candidates leave by pop_back, leftovers return by
+  // push_back (their keys lie below everything still queued), and only a
+  // refilled head pays a binary-search insert.  The binary heap this
+  // replaced popped and re-pushed every window candidate at O(log n) each;
+  // pop order is identical because the key order is strict and total.
   std::vector<QueueEntry> queue_;
   std::vector<std::size_t> starved_;    // active traces awaiting data
   UnifyStats stats_;

@@ -7,10 +7,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 
 #include "phy/propagation.h"
 #include "util/byte_io.h"
+#include "util/compression.h"
 #include "util/time.h"
 #include "wifi/channel.h"
 #include "wifi/rates.h"
@@ -61,5 +65,49 @@ TraceHeader DeserializeHeader(ByteReader& r);
 void SerializeRecord(const CaptureRecord& rec, LocalMicros prev_timestamp,
                      Bytes& out);
 CaptureRecord DeserializeRecord(ByteReader& r, LocalMicros prev_timestamp);
+
+// Decodes one .jigt block payload — LZ-packed, delta-coded records — and
+// appends its records to `out` (a vector or deque of CaptureRecord).  With
+// `record_count` (the block index's promise), exactly that many records
+// are decoded, and a count the raw block cannot hold is rejected before
+// anything is reserved; without it, records are decoded until the raw
+// bytes run out.  The first `skip` records are parsed but not appended.
+// The raw block is decompressed into the decoding thread's scratch buffer
+// (LzDecompressScratch), never into a per-reader or per-record one.
+// Returns the number of records parsed.  On any throw `out` is cut back to
+// its size at entry, so a failed block leaves no partial records behind.
+// Throws LzError from decompression and std::runtime_error for malformed
+// records; each reader maps them onto its own error taxonomy.
+template <typename Records>
+std::size_t DecodeBlock(std::span<const std::uint8_t> packed,
+                        std::optional<std::uint32_t> record_count,
+                        Records& out, std::uint64_t skip = 0) {
+  const std::size_t base = out.size();
+  std::size_t parsed = 0;
+  try {
+    ByteReader r(LzDecompressScratch(packed));
+    if (record_count) {
+      // A record occupies at least one raw byte, so a count past the raw
+      // size is corrupt; reserving for it unchecked would let a hostile
+      // index demand gigabytes per block.
+      if (*record_count > r.remaining()) {
+        throw std::runtime_error("index record count exceeds block size");
+      }
+      if constexpr (requires { out.reserve(std::size_t{}); }) {
+        out.reserve(base + *record_count);
+      }
+    }
+    LocalMicros prev = 0;
+    while (record_count ? parsed < *record_count : !r.AtEnd()) {
+      CaptureRecord rec = DeserializeRecord(r, prev);
+      prev = rec.timestamp;
+      if (parsed++ >= skip) out.push_back(std::move(rec));
+    }
+  } catch (...) {
+    out.resize(base);
+    throw;
+  }
+  return parsed;
+}
 
 }  // namespace jig

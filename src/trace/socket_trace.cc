@@ -167,21 +167,12 @@ bool SocketTrace::Pump() {
       break;  // partial block: no data yet
     }
     try {
-      const Bytes raw = LzDecompress(
-          {buf_.data() + off + 4, static_cast<std::size_t>(packed_len)});
-      ByteReader r(raw);
-      LocalMicros prev = 0;
-      while (!r.AtEnd()) {
-        CaptureRecord rec = DeserializeRecord(r, prev);
-        prev = rec.timestamp;
-        // A resumed sender replays from record zero; drop what the old
-        // connection already delivered so no record surfaces twice.
-        if (resume_skip_ > 0) {
-          --resume_skip_;
-          continue;
-        }
-        records_.push_back(std::move(rec));
-      }
+      // A resumed sender replays from record zero; drop what the old
+      // connection already delivered so no record surfaces twice.
+      const std::size_t parsed = DecodeBlock(
+          {buf_.data() + off + 4, static_cast<std::size_t>(packed_len)},
+          std::nullopt, records_, resume_skip_);
+      resume_skip_ -= std::min<std::uint64_t>(resume_skip_, parsed);
     } catch (const std::exception& e) {
       // The length word promised a complete block; a parse failure is
       // corruption, not something a retry can heal.

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "util/compression.h"
 
 namespace jig {
 namespace {
@@ -133,16 +132,10 @@ bool TailFileTrace::TryLoadNextBlock() {
     Metrics().truncation_retries.Add(1);
     return false;
   }
+  block_records_.clear();
+  block_pos_ = 0;
   try {
-    const Bytes raw = LzDecompress(packed);
-    ByteReader r(raw);
-    block_records_.clear();
-    block_pos_ = 0;
-    LocalMicros prev = 0;
-    while (!r.AtEnd()) {
-      block_records_.push_back(DeserializeRecord(r, prev));
-      prev = block_records_.back().timestamp;
-    }
+    DecodeBlock(packed, std::nullopt, block_records_);
   } catch (const std::exception& e) {
     // The length word said the block is complete, so a parse failure is
     // corruption — waiting cannot repair it.

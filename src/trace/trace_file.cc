@@ -7,13 +7,6 @@
 #include "trace/framed_io.h"
 #include "util/compression.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define JIG_HAVE_MMAP 1
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace jig {
 namespace {
 
@@ -24,9 +17,6 @@ struct TraceMetrics {
       "jig_trace_blocks_decoded_total", "Trace blocks decompressed");
   obs::Counter& records = obs::MetricRegistry::Global().GetCounter(
       "jig_trace_records_decoded_total", "Capture records decoded");
-  obs::Gauge& mmap_active = obs::MetricRegistry::Global().GetGauge(
-      "jig_trace_mmap_active",
-      "Trace readers currently serving blocks from an mmap'd file");
 };
 
 TraceMetrics& Metrics() {
@@ -139,8 +129,7 @@ void TraceFileWriter::Finish() {
   finished_ = true;
 }
 
-TraceFileReader::TraceFileReader(const std::filesystem::path& path,
-                                 TraceReadOptions options) {
+TraceFileReader::TraceFileReader(const std::filesystem::path& path) {
   file_ = std::fopen(path.string().c_str(), "rb");
   if (!file_) {
     throw std::runtime_error("cannot open trace for reading: " +
@@ -211,7 +200,7 @@ TraceFileReader::TraceFileReader(const std::filesystem::path& path,
       e.record_count = ReadU32(file_);
       // Blocks live strictly before the index; an offset past it can only
       // come from a corrupt trailer.  Rejecting it here keeps LoadBlock's
-      // u64→long seek cast and mmap offset arithmetic in range.
+      // u64→long seek cast in range.
       if (e.file_offset >= index_offset) {
         throw TraceCorruptError("index entry offset past index region");
       }
@@ -222,35 +211,10 @@ TraceFileReader::TraceFileReader(const std::filesystem::path& path,
     file_ = nullptr;
     throw;
   }
-  if (options.use_mmap) TryMap();
   Rewind();
 }
 
-// Establishes the read-only mapping; any failure leaves map_ null and the
-// reader on the buffered FILE* path — mmap is an optimization, never a
-// requirement.
-void TraceFileReader::TryMap() {
-#if defined(JIG_HAVE_MMAP)
-  const int fd = fileno(file_);
-  if (fd < 0) return;
-  struct stat st;
-  if (fstat(fd, &st) != 0 || st.st_size <= 0) return;
-  void* addr = mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
-                    MAP_PRIVATE, fd, 0);
-  if (addr == MAP_FAILED) return;
-  map_ = static_cast<const std::uint8_t*>(addr);
-  map_size_ = static_cast<std::size_t>(st.st_size);
-  Metrics().mmap_active.Add(1);
-#endif
-}
-
 TraceFileReader::~TraceFileReader() {
-#if defined(JIG_HAVE_MMAP)
-  if (map_) {
-    munmap(const_cast<std::uint8_t*>(map_), map_size_);
-    Metrics().mmap_active.Add(-1);
-  }
-#endif
   if (file_) std::fclose(file_);
 }
 
@@ -266,55 +230,19 @@ void TraceFileReader::LoadBlock(std::size_t block_idx) {
   if (block_idx >= index_.size()) return;
   const auto& entry = index_[block_idx];
 
-  std::uint32_t packed_len = 0;
-  Bytes packed;  // buffered path only; mmap decompresses in place
-  std::span<const std::uint8_t> packed_view;
-  if (map_) {
-    if (entry.file_offset + 4 > map_size_) {
-      throw TraceTruncatedError("indexed block past end of file");
-    }
-    std::memcpy(&packed_len, map_ + entry.file_offset, 4);
-    if (packed_len == 0 || packed_len > kMaxPackedBlockLen) {
-      throw TraceCorruptError("garbage block length in indexed block");
-    }
-    if (entry.file_offset + 4 + packed_len > map_size_) {
-      // The index promises a block the data region no longer (or does not
-      // yet) fully contains.
-      throw TraceTruncatedError("indexed block truncated");
-    }
-    packed_view = {map_ + entry.file_offset + 4, packed_len};
-  } else {
-    if (std::fseek(file_, static_cast<long>(entry.file_offset), SEEK_SET) !=
-        0) {
-      throw std::runtime_error("trace file: seek to block");
-    }
-    packed_len = ReadU32(file_);
-    if (packed_len == 0 || packed_len > kMaxPackedBlockLen) {
-      throw TraceCorruptError("garbage block length in indexed block");
-    }
-    packed.resize(packed_len);
-    // Distinctly reports a truncated trailing record: the index promises a
-    // block the data region no longer (or does not yet) fully contains.
-    ReadAll(file_, packed.data(), packed_len);
-    packed_view = packed;
+  if (std::fseek(file_, static_cast<long>(entry.file_offset), SEEK_SET) != 0) {
+    throw std::runtime_error("trace file: seek to block");
   }
+  const std::uint32_t packed_len = ReadU32(file_);
+  if (packed_len == 0 || packed_len > kMaxPackedBlockLen) {
+    throw TraceCorruptError("garbage block length in indexed block");
+  }
+  Bytes packed(packed_len);
+  // Distinctly reports a truncated trailing record: the index promises a
+  // block the data region no longer (or does not yet) fully contains.
+  ReadAll(file_, packed.data(), packed_len);
   try {
-    const Bytes raw = LzDecompress(packed_view);
-    ByteReader r(raw);
-    LocalMicros prev = 0;
-    // A record occupies at least one raw byte, so an index entry declaring
-    // more records than the block holds bytes is corrupt; reserving for it
-    // unchecked would let a hostile index demand gigabytes per block.
-    if (entry.record_count > raw.size()) {
-      throw TraceCorruptError("index record count exceeds block size");
-    }
-    block_records_.reserve(entry.record_count);
-    for (std::uint32_t i = 0; i < entry.record_count; ++i) {
-      block_records_.push_back(DeserializeRecord(r, prev));
-      prev = block_records_.back().timestamp;
-    }
-  } catch (const TraceError&) {
-    throw;
+    DecodeBlock(packed, entry.record_count, block_records_);
   } catch (const LzTruncatedError& e) {
     // The block's bytes are all on disk (the length framing said so) but the
     // compressed stream inside stops short — a torn or unfinished write of

@@ -1,8 +1,11 @@
 #include "util/compression.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 namespace jig {
 namespace {
@@ -58,6 +61,23 @@ std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
   }
   while (len < limit && a[len] == b[len]) ++len;
   return len;
+}
+
+// Spare bytes the decoder keeps past its write cursor; also the chunk
+// CopyChunks moves at a time.
+constexpr std::size_t kCopySlack = 16;
+
+// Copies `len` bytes as whole kCopySlack-byte chunks, so it may write up to
+// kCopySlack - 1 bytes past dst + len and read as far past src + len; the
+// caller guarantees both are in bounds and that no chunk read overlaps a
+// chunk write (src + kCopySlack <= dst, or separate buffers).  The spill
+// past dst + len lands on bytes the next token overwrites.  Fixed-size
+// memcpy compiles to one vector load/store pair, where a short
+// variable-length memcpy is a library call per token.
+void CopyChunks(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+  for (std::size_t i = 0; i < len; i += kCopySlack) {
+    std::memcpy(dst + i, src + i, kCopySlack);
+  }
 }
 
 }  // namespace
@@ -128,7 +148,10 @@ std::vector<std::uint8_t> LzCompress(std::span<const std::uint8_t> raw,
   return out;
 }
 
-std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
+namespace {
+
+template <typename Buffer>
+void DecodeInto(std::span<const std::uint8_t> packed, Buffer& out) {
   if (packed.size() < 4) {
     throw LzTruncatedError("LzDecompress: short header");
   }
@@ -140,14 +163,28 @@ std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
   // A match token (3 bytes) emits at most kLzMaxMatch bytes, so no
   // conforming stream expands beyond kLzMaxMatch per input byte; a declared
   // raw size past that is self-inconsistent.  Rejecting it here (and capping
-  // the upfront reserve) keeps a hostile 4-byte header from demanding a
+  // the upfront sizing) keeps a hostile 4-byte header from demanding a
   // 4 GiB allocation — std::bad_alloc is not part of the error taxonomy.
   if (raw_size > (packed.size() - 4) * kLzMaxMatch) {
     throw LzCorruptError("LzDecompress: declared raw size unreachable");
   }
-  constexpr std::size_t kReserveCap = 1u << 20;
-  std::vector<std::uint8_t> out;
-  out.reserve(std::min<std::size_t>(raw_size, kReserveCap));
+  // `out` is sized ahead of the write cursor `o` and written through a
+  // pointer, with kCopySlack spare bytes past the furthest write so short
+  // copies can move whole chunks (see CopyChunks).  The upfront size stays
+  // within kLzReserveCap; past it `out` grows geometrically with the bytes
+  // actually produced, so a reachable but inflated declared size costs
+  // memory only as the stream really delivers it.  Whatever `out` held
+  // before is overwritten or cut off by the final resize.
+  out.resize(std::min<std::size_t>(std::size_t{raw_size} + kCopySlack,
+                                    kLzReserveCap));
+  const auto ensure = [&out, raw_size](std::size_t need) {
+    if (need + kCopySlack > out.size()) {
+      out.resize(std::min<std::size_t>(raw_size,
+                                       std::max(need, 2 * out.size())) +
+                 kCopySlack);
+    }
+  };
+  std::size_t o = 0;
   std::size_t pos = 4;
   const std::size_t n = packed.size();
   while (pos < n) {
@@ -157,10 +194,16 @@ std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
       if (pos + run > n) {
         throw LzTruncatedError("LzDecompress: literal run truncated");
       }
-      if (out.size() + run > raw_size) {
+      if (o + run > raw_size) {
         throw LzCorruptError("LzDecompress: output exceeds declared raw size");
       }
-      out.insert(out.end(), packed.begin() + pos, packed.begin() + pos + run);
+      ensure(o + run);
+      if (n - pos >= run + kCopySlack) {
+        CopyChunks(out.data() + o, packed.data() + pos, run);
+      } else {
+        std::memcpy(out.data() + o, packed.data() + pos, run);
+      }
+      o += run;
       pos += run;
     } else {
       const std::size_t len = (control & 0x7Fu) + kLzMinMatch;
@@ -170,22 +213,85 @@ std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
       const std::size_t dist = static_cast<std::size_t>(packed[pos]) |
                                (static_cast<std::size_t>(packed[pos + 1]) << 8);
       pos += 2;
-      if (dist == 0 || dist > out.size()) {
+      if (dist == 0 || dist > o) {
         throw LzCorruptError("LzDecompress: bad match distance");
       }
-      if (out.size() + len > raw_size) {
+      if (o + len > raw_size) {
         throw LzCorruptError("LzDecompress: output exceeds declared raw size");
       }
-      // Byte-by-byte copy: overlapping matches (dist < len) are legal and
-      // encode runs, so memcpy would be wrong here.
-      std::size_t src = out.size() - dist;
-      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      ensure(o + len);
+      std::uint8_t* dst = out.data() + o;
+      const std::uint8_t* src = dst - dist;
+      if (dist >= kCopySlack) {
+        CopyChunks(dst, src, len);
+      } else if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else if (dist == 1) {
+        std::memset(dst, *src, len);
+      } else {
+        // Overlapping match (dist < len): legal, and how runs are encoded —
+        // each byte may read one this copy just wrote, so no memcpy.
+        for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+      }
+      o += len;
     }
   }
-  if (out.size() != raw_size) {
-    throw LzTruncatedError(
-        "LzDecompress: stream ends before declared raw size");
+  if (o != raw_size) {
+    throw LzTruncatedError("LzDecompress: stream ends before declared raw size");
   }
+  out.resize(o);
+}
+
+template <typename Buffer>
+void DecodeOrClear(std::span<const std::uint8_t> packed, Buffer& out) {
+  try {
+    DecodeInto(packed, out);
+  } catch (...) {
+    out.clear();  // never leave a half-decoded block behind
+    throw;
+  }
+}
+
+// Maps whole pages straight from the kernel, outside malloc's heaps.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  T* allocate(std::size_t n) {
+    void* p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t n) { munmap(p, n * sizeof(T)); }
+  friend bool operator==(const PageAllocator&, const PageAllocator&) {
+    return true;
+  }
+};
+
+}  // namespace
+
+void LzDecompressInto(std::span<const std::uint8_t> packed,
+                      std::vector<std::uint8_t>& out) {
+  DecodeOrClear(packed, out);
+}
+
+std::span<const std::uint8_t> LzDecompressScratch(
+    std::span<const std::uint8_t> packed) {
+  // Mapped once at kLzReserveCap and never moved: only the pages a block
+  // actually fills become resident, and the buffer sits outside malloc's
+  // heaps.  Kept in a heap it pinned the memory the records decoded after
+  // it had freed, and peak RSS rose 9-12% (perfbench merge-1t with the
+  // buffer reserved up front, catchup with it grown on demand).
+  thread_local std::vector<std::uint8_t, PageAllocator<std::uint8_t>>
+      scratch;
+  if (scratch.capacity() == 0) scratch.reserve(kLzReserveCap);
+  DecodeOrClear(packed, scratch);
+  return scratch;
+}
+
+std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
+  std::vector<std::uint8_t> out;
+  LzDecompressInto(packed, out);
   return out;
 }
 

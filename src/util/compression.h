@@ -69,4 +69,23 @@ std::vector<std::uint8_t> LzCompress(std::span<const std::uint8_t> raw,
                                      LzLevel level = LzLevel::kDefault);
 std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed);
 
+// Decoders size their output buffer upfront to at most this much; beyond it
+// the buffer grows only with the bytes the stream actually produces.
+constexpr std::size_t kLzReserveCap = std::size_t{1} << 20;
+
+// LzDecompress into a caller-owned buffer, so a decoder called per block
+// can reuse one allocation.  On success `out` holds exactly the decoded
+// bytes (its previous contents are gone); on any throw — the same
+// LzTruncatedError / LzCorruptError cases as LzDecompress — it is empty.
+void LzDecompressInto(std::span<const std::uint8_t> packed,
+                      std::vector<std::uint8_t>& out);
+
+// LzDecompressInto the calling thread's scratch buffer, reused block after
+// block; the view is valid until the next call on the same thread.  For
+// decoders that parse a block and drop its raw bytes (the trace readers'
+// block decode).  One buffer per decoding thread — not one per reader,
+// which would keep a block of raw bytes resident per trace.
+std::span<const std::uint8_t> LzDecompressScratch(
+    std::span<const std::uint8_t> packed);
+
 }  // namespace jig

@@ -9,6 +9,8 @@
 // The jigtool binary is located via the JIGTOOL environment variable, or
 // ./jigtool relative to the test's working directory (ctest runs from the
 // build root, where every target lands).  Skips if neither resolves.
+// live_monitor's --follow door keeps the same contract and is found the
+// same way (LIVE_MONITOR, or ./live_monitor).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -25,18 +27,29 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string JigtoolPath() {
-  if (const char* env = std::getenv("JIGTOOL")) return env;
-  if (fs::exists("./jigtool")) return "./jigtool";
+// The binary named by environment variable `env`, else ./<name>, else "".
+std::string ToolPath(const char* env, const std::string& name) {
+  if (const char* path = std::getenv(env)) return path;
+  if (fs::exists("./" + name)) return "./" + name;
   return "";
 }
 
-// Runs jigtool with `args`, returns its exit code (-1 on system() failure).
-int RunJigtool(const std::string& args) {
-  const std::string cmd = JigtoolPath() + " " + args + " >/dev/null 2>&1";
+std::string JigtoolPath() { return ToolPath("JIGTOOL", "jigtool"); }
+std::string LiveMonitorPath() {
+  return ToolPath("LIVE_MONITOR", "live_monitor");
+}
+
+// Runs `tool` with `args`, returns its exit code (-1 on system() failure or
+// when the tool died on a signal, e.g. an uncaught-exception abort).
+int RunTool(const std::string& tool, const std::string& args) {
+  const std::string cmd = tool + " " + args + " >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   if (status == -1) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int RunJigtool(const std::string& args) {
+  return RunTool(JigtoolPath(), args);
 }
 
 class CliTest : public ::testing::Test {
@@ -115,6 +128,12 @@ TEST_F(CliTest, CorruptTraceExitsThree) {
   EXPECT_EQ(RunJigtool("stats " + dir_.string()), 3);
   EXPECT_EQ(RunJigtool("merge " + dir_.string()), 3);
   EXPECT_EQ(RunJigtool("info " + dir_.string()), 3);
+}
+
+// --mmap was a merge read-mode knob; it is gone, so it is now an unknown
+// option like any other.
+TEST_F(CliTest, RemovedMmapOptionExitsTwo) {
+  EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --mmap"), 2);
 }
 
 TEST_F(CliTest, InspectSpillOnMissingOrEmptyInputExitsOne) {
@@ -275,6 +294,45 @@ TEST_F(CliTest, ServeSigtermShutsDownCleanly) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   EXPECT_TRUE(fs::exists(state / "snapshot.json"));
+}
+
+// ------------------------------------------------------------------------
+// live_monitor --follow: the same 1/2/3 contract, and never an abort.
+
+class LiveMonitorCliTest : public CliTest {
+ protected:
+  void SetUp() override {
+    if (LiveMonitorPath().empty()) {
+      GTEST_SKIP() << "live_monitor binary not found (set LIVE_MONITOR)";
+    }
+    CliTest::SetUp();
+  }
+  static int Run(const std::string& args) {
+    return RunTool(LiveMonitorPath(), args);
+  }
+};
+
+TEST_F(LiveMonitorCliTest, UsageErrorsExitTwo) {
+  EXPECT_EQ(Run("--follow"), 2);
+  EXPECT_EQ(Run("--follow " + dir_.string() + " --spill-dir"), 2);
+}
+
+// Without the option check, `--bogus` became the radio count (atol = 0)
+// and the monitor waited out the 30 s settle timeout on an empty directory.
+TEST_F(LiveMonitorCliTest, UnknownOptionExitsTwo) {
+  EXPECT_EQ(Run("--follow " + dir_.string() + " --bogus"), 2);
+  EXPECT_EQ(Run("--no-such-flag"), 2);
+}
+
+// A missing directory fails fast with 1, instead of aborting on the
+// uncaught settle-timeout error 30 s later.
+TEST_F(LiveMonitorCliTest, MissingDirectoryExitsOne) {
+  EXPECT_EQ(Run("--follow " + (dir_ / "nonexistent").string()), 1);
+}
+
+TEST_F(LiveMonitorCliTest, CorruptTraceExitsThree) {
+  WriteGarbage(dir_ / "bad.jigt");
+  EXPECT_EQ(Run("--follow " + dir_.string() + " 1"), 3);
 }
 
 }  // namespace

@@ -249,11 +249,11 @@ TEST(ParallelMerge, ScenarioStreamMatchesOracle) {
   }
 }
 
-// The performance-knob matrix: mmap'd trace reads and thread count are
-// pure speed knobs — every combination must emit the oracle's stream, byte
-// for byte.  The traces go through a .jigt round trip so the mmap'd read
-// path is actually exercised (the oracle reads the same files).
-TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapThreads) {
+// The performance-knob matrix: thread count is a pure speed knob — every
+// setting must emit the oracle's stream, byte for byte.  The traces go
+// through a .jigt round trip so the block decoder is exercised (the oracle
+// reads the same files).
+TEST(PerfKnobMatrix, ByteIdenticalAcrossThreadsFromJigt) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "jig_pipeline_knob_matrix";
@@ -263,20 +263,15 @@ TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapThreads) {
   const auto base = OracleMerge(oracle_traces);
   ASSERT_GT(base.jframes.size(), 100u);
 
-  for (bool use_mmap : {false, true}) {
-    for (unsigned threads : {1u, 2u, 0u}) {
-      SCOPED_TRACE("mmap=" + std::to_string(use_mmap) +
-                   " threads=" + std::to_string(threads));
-      TraceReadOptions opts;
-      opts.use_mmap = use_mmap;
-      TraceSet traces = TraceSet::OpenDirectory(dir, opts);
-      ASSERT_EQ(traces.size(), oracle_traces.size());
-      MergeConfig cfg;
-      cfg.threads = threads;
-      const auto result = MergeTraces(traces, cfg);
-      ExpectIdenticalStreams(base.jframes, result.jframes);
-      ExpectEqualStats(base.stats, result.stats);
-    }
+  for (unsigned threads : {1u, 2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TraceSet traces = TraceSet::OpenDirectory(dir);
+    ASSERT_EQ(traces.size(), oracle_traces.size());
+    MergeConfig cfg;
+    cfg.threads = threads;
+    const auto result = MergeTraces(traces, cfg);
+    ExpectIdenticalStreams(base.jframes, result.jframes);
+    ExpectEqualStats(base.stats, result.stats);
   }
   fs::remove_all(dir);
 }
