@@ -16,6 +16,7 @@
 //                                   (threads: 0 = auto, 1 = one worker, on
 //                                   the calling thread;
 //                                   --spill-dir stages shard backlog on disk
+//                                   while a lagging radio gates the merge,
 //                                   instead of throttling at the watermark;
 //                                   --spill-threshold overrides the queue
 //                                   depth that engages the tier;

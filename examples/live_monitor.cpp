@@ -99,9 +99,9 @@ int RunFollow(const char* dir, std::size_t radios, unsigned threads,
 
   MergeConfig mcfg;
   mcfg.threads = threads;
-  // A paused dashboard (this process stopped in a debugger, a terminal
-  // holding output...) must not stall the capture side: shard backlog
-  // spills to disk instead of throttling at the queue watermark.
+  // A radio that lags far behind the rest gates the merge; it must not
+  // stall the other channels' capture side: while gated, their shard
+  // backlog spills to disk instead of throttling at the queue watermark.
   if (spill_dir != nullptr) mcfg.spill_dir = spill_dir;
   MergeSession session(traces, mcfg, bus.Sink());
 

@@ -75,10 +75,10 @@ struct JFrame {
 // has taken what it wants, and steady-state emission stops allocating.
 //
 // Deliberately unsynchronized.  Within a MergeSession each shard owns one
-// pool, and the existing round barrier already serializes worker-phase
-// accesses (unifier Acquire, spill-drain Recycle) against merge-phase
-// accesses (emit Recycle) — the same happens-before discipline that
-// protects the shard queues themselves.
+// pool and only the shard's worker side touches it: the unifier acquires,
+// and the worker recycles spilled jframes and the carcasses the Poll()
+// thread hands back — in whole consumed batches, under the shard's
+// hand-off mutex, never one by one across threads.
 class JFramePool {
  public:
   explicit JFramePool(std::size_t max_pooled = 4096)

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -88,7 +90,8 @@ Micros EffectiveHorizon(const MergeConfig& config) {
   return std::max(config.reorder_horizon, config.unifier.search_window * 2);
 }
 
-constexpr std::size_t kUnifyStep = 1024;  // groups per scheduling slice
+// Jframes per unifier slice, and so per hand-off batch.
+constexpr std::size_t kUnifyStep = 1024;
 
 unsigned ResolveWorkers(unsigned threads, std::size_t shard_count) {
   unsigned n = threads;
@@ -109,13 +112,15 @@ struct PipelineMetrics {
       "JFrames produced by shard unifiers");
   obs::Counter& rounds = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_rounds_total",
-      "Merge rounds executed, by the worker pool or inline");
+      "Merge rounds: inline rounds with one worker, one pipelined worker "
+      "run per Poll with a pool");
   obs::Gauge& queue_peak = obs::MetricRegistry::Global().GetGauge(
       "jig_shard_queue_peak",
       "High-watermark of any single shard queue depth");
   obs::Histogram& round_wait_us = obs::MetricRegistry::Global().GetHistogram(
       "jig_shard_round_wait_us", obs::LatencyBucketsUs(),
-      "Poll-thread wait at the round barrier (pool mode only)");
+      "Poll-thread wait for shard workers: the merge gated on a shard whose "
+      "worker is still running, and the end-of-poll park (pool mode only)");
   obs::Counter& emitted = obs::MetricRegistry::Global().GetCounter(
       "jig_merge_jframes_emitted_total",
       "JFrames emitted by the k-way merge");
@@ -173,40 +178,83 @@ void ValidateMergeConfig(const MergeConfig& config) {
 // ---------------------------------------------------------------------------
 // MergeSession.
 //
-// The merge runs in rounds over channel shards: a round steps the shards'
-// unifiers, then the Poll() thread k-way merges the shard queues as far as
-// every shard has either a head or a final end-of-stream.  With more than
-// one worker, a pool steps every shard (each bounded by the queue
-// watermark) and a barrier joins the round; with one worker the Poll()
-// thread steps inline, and only the shards the k-way merge is waiting on.
-// Between rounds nothing runs, which is what makes the session resumable:
-// Poll() simply stops scheduling rounds once no shard can advance.
+// The merge runs over channel shards: each shard's unifier feeds a reorder
+// buffer whose output is published, one kUnifyStep slice at a time, as a
+// batch on the shard's hand-off queue; the Poll() thread k-way merges the
+// shards' batches as far as every shard has either a head or a final
+// end-of-stream.
+//
+// With one worker the Poll() thread steps inline, in rounds, and only the
+// shards the k-way merge is waiting on.  With more, the steps are
+// pipelined: inside one Poll() each worker keeps stepping its shards —
+// until a shard starves, exhausts, or has no room for another slice under
+// kMergeQueueWatermark jframes in flight — while the Poll() thread merges,
+// runs the sink and hands the spent batches back.  The two sides meet only at the per-shard mutex, once
+// per batch: the Poll() thread blocks only when the merge is gated on a
+// shard whose worker is still running.  The emitted order depends only on
+// per-shard FIFO order and the (timestamp, channel) gate, never on timing.
+// Poll() returns once every worker is parked, and between polls nothing
+// runs: that is what makes the session resumable and its state (stats,
+// retention, the traces' read positions) safe to read after Poll().
 
 struct MergeSession::Impl {
+  // The hand-off granule: one slice's reorder output.  Consumed batches go
+  // back to the worker with their jframe carcasses still inside.
+  using Batch = std::vector<JFrame>;
+
   struct LiveShard {
-    std::deque<JFrame> queue;  // ordered output awaiting the k-way merge
+    std::size_t index = 0;
+
+    // ---- worker side: the shard's worker while a poll runs, the Poll()
+    // thread only inline or while every worker is parked.
     std::unique_ptr<ReorderBuffer> reorder;
     std::unique_ptr<Unifier> unifier;
-    bool exhausted = false;  // unifier done and reorder flushed
-    // Spill tier (null when MergeConfig::spill_dir is empty).  While
-    // `spilling` is latched, every un-replayed spilled jframe precedes
-    // everything in `queue`, so the consumer replays the spill to
-    // exhaustion before touching the queue again — that invariant is the
-    // whole ordering argument for spill-mode byte-identity.
-    std::unique_ptr<SpillQueue> spill;
-    bool spilling = false;
-    // Consumer-side staging for the k-way merge's peek (Pop() is
-    // destructive); counts as retained.
-    std::optional<JFrame> spill_head;
-    // Arena: the unifier acquires, the emit path and spill drain recycle.
-    // Worker-phase and merge-phase accesses are serialized by the round
-    // barrier — see JFramePool.
+    Batch out;  // reorder output of the slice being stepped
+    // Arena: the unifier acquires; returned carcasses and spilled jframes
+    // are recycled here, on the worker side only (see JFramePool).
     JFramePool pool;
     // Unifier stats already folded into the shard counters.  Tracked
     // against the unifier's totals, not per-step deltas, so the records its
     // constructor reads (one head per trace) are counted too.
     std::uint64_t events_published = 0;
     std::uint64_t jframes_published = 0;
+
+    // ---- hand-off state, guarded by mu.
+    std::mutex mu;
+    std::condition_variable ready_cv;  // the Poll() thread waits for data
+    std::deque<Batch> ready;   // published batches, FIFO
+    std::vector<Batch> spent;  // consumed batches on their way back
+    // Jframes published and not yet handed back: the ready batches plus
+    // the Poll() thread's current batch.  The watermark caps this.
+    std::size_t depth = 0;
+    std::size_t reorder_held = 0;  // reorder-buffer size at the last publish
+    bool exhausted = false;  // unifier done, reorder flushed, all published
+    bool parked = false;     // the worker steps this shard no more this poll
+    bool wants_room = false;         // worker stopped at the watermark
+    bool consumer_waiting = false;   // Poll() thread blocked in ready_cv
+    // Spill tier (null when MergeConfig::spill_dir is empty).  Every
+    // SpillQueue call holds mu: the worker pushes and Syncs before it
+    // unlocks, so the Poll() thread only ever replays published segments.
+    // While `spilling` is latched, every un-replayed spilled jframe
+    // precedes everything in `ready`, so the consumer replays the spill to
+    // exhaustion before touching `ready` again — that invariant is the
+    // whole ordering argument for spill-mode byte-identity.
+    std::unique_ptr<SpillQueue> spill;
+    bool spilling = false;
+
+    // ---- consumer side: the Poll() thread only.
+    Batch head;  // batch being merged; head[head_pos] is the shard's head
+    std::size_t head_pos = 0;
+    bool head_from_spill = false;  // replayed, so not counted in depth
+    bool drained = false;          // exhausted and everything merged
+  };
+
+  // One pool thread.  `idle` and `wake_pending` are guarded by pool_mu.
+  struct Worker {
+    std::thread thread;
+    std::condition_variable cv;
+    bool idle = true;           // parked, waiting for a Wake
+    bool wake_pending = false;  // woken while still running: go again
   };
 
   TraceSet& traces;
@@ -232,16 +280,19 @@ struct MergeSession::Impl {
   SpillBudget spill_budget;      // shared across shards (max_spill_bytes)
   std::uint64_t final_spilled = 0;  // lifetime total, latched at teardown
 
-  // Round-barrier worker pool (only when workers > 1).
-  std::vector<std::thread> pool;
+  // Pipelined worker pool (only when workers > 1).
+  std::deque<Worker> pool;
   std::mutex pool_mu;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  std::uint64_t generation = 0;
-  std::size_t remaining = 0;
+  std::condition_variable quiet_cv;  // the Poll() thread waits for busy == 0
+  std::size_t busy = 0;              // workers not idle
   bool shutdown = false;
-  bool round_progress = false;
-  std::vector<std::exception_ptr> round_errors;
+  std::exception_ptr worker_error;
+  // Set on the first worker or sink failure: workers stop stepping and the
+  // Poll() thread stops waiting on shards.  The session is failed for good.
+  std::atomic<bool> aborted{false};
+  // Set for the rest of a poll once the merge is gated on a starved shard:
+  // only then may a shard's backlog engage the spill tier.
+  std::atomic<bool> spill_gate{false};
 
   std::uint64_t emitted = 0;
   std::size_t peak_retained = 0;
@@ -360,10 +411,11 @@ struct MergeSession::Impl {
     live.reserve(shards.size());
     for (std::size_t s = 0; s < shards.size(); ++s) {
       auto ls = std::make_unique<LiveShard>();
-      std::deque<JFrame>* queue = &ls->queue;
+      ls->index = s;
+      Batch* out = &ls->out;
       ls->reorder = std::make_unique<ReorderBuffer>(
           EffectiveHorizon(config),
-          [queue](JFrame&& jf) { queue->push_back(std::move(jf)); });
+          [out](JFrame&& jf) { out->push_back(std::move(jf)); });
       ReorderBuffer* reorder = ls->reorder.get();
       ls->unifier = std::make_unique<Unifier>(
           shards[s].traces, bootstrap.Slice(shards[s].source_index),
@@ -384,206 +436,380 @@ struct MergeSession::Impl {
     if (workers > 1) StartPool();
   }
 
-  // ---- worker rounds ------------------------------------------------------
+  // ---- worker side --------------------------------------------------------
 
-  // Drains the shard queue into its spill tier when engaged (already
-  // spilling, or the queue crossed the threshold).  Spilling stays latched
-  // until the consumer replays the spill dry — while latched, everything
-  // in the queue is newer than everything spilled, so draining front-first
-  // preserves FIFO order.  Push refusal (budget exhausted) leaves the rest
-  // queued: the shard degrades to plain watermark backpressure until
-  // replay reclaims segments.  Returns true if anything moved to disk.
-  bool MaybeSpill(LiveShard& ls) {
-    if (ls.spill == nullptr) return false;
-    if (!ls.spilling && ls.queue.size() < config.spill_threshold) {
-      return false;
-    }
-    ls.spilling = true;
-    bool moved = false;
-    while (!ls.queue.empty() && ls.spill->Push(ls.queue.front())) {
-      // Push serialized without consuming; recycle the carcass (worker
-      // thread, this shard's pool — the barrier orders it vs. emit).
-      ls.pool.Recycle(std::move(ls.queue.front()));
-      ls.queue.pop_front();
-      moved = true;
-    }
-    if (moved) ls.spill->Sync();  // publish before the round barrier
-    return moved;
-  }
-
-  // Steps one shard until it starves, exhausts, or its queue reaches the
-  // watermark (with the spill tier engaged, the queue drains to disk
-  // instead, so only budget exhaustion still hits the watermark) — or, with
-  // `one_slice`, for at most one kUnifyStep slice.  Returns true if
-  // anything was consumed, produced or spilled.
-  //
-  // The engage decision runs once, at round entry: a queue still at or
-  // past the threshold *here* is what the consumer's last drain pass
-  // could not take — actual lag.  The transient fill while this round's
-  // unifier runs is not lag (the consumer never gets to run mid-round),
-  // so it must not engage the tier: otherwise a plain batch merge with a
-  // spill_dir would stage its entire stream through disk in round one.
-  bool StepShard(LiveShard& ls, bool one_slice) {
-    if (ls.exhausted) return false;
-    bool progress = MaybeSpill(ls);
-    for (;;) {
-      if (ls.spilling) progress = MaybeSpill(ls) || progress;
-      if (ls.queue.size() >= kMergeQueueWatermark) break;
-      const std::uint64_t before = ls.unifier->stats().events_in;
-      const std::size_t queued = ls.queue.size();
-      const UnifyStep step = ls.unifier->Step(kUnifyStep);
-      progress = progress || ls.unifier->stats().events_in != before ||
-                 ls.queue.size() != queued;
-      if (step == UnifyStep::kStarved) break;
-      if (step == UnifyStep::kExhausted) {
-        ls.reorder->Flush();
-        ls.exhausted = true;
-        progress = true;
-        break;
-      }
-      if (one_slice) break;
-    }
-    if (ls.spilling) progress = MaybeSpill(ls) || progress;
-    // Metrics ride the stats deltas — one pair of counter adds per
-    // StepShard, nothing per event.
+  // Runs one kUnifyStep slice of the shard's unifier (no lock held: the
+  // unifier, reorder buffer, `out` and the pool are worker-side state) and
+  // publishes its output.  Returns true if anything was consumed, produced
+  // or finished.
+  bool StepSlice(LiveShard& ls) {
+    const std::uint64_t before = ls.unifier->stats().events_in;
+    const UnifyStep step = ls.unifier->Step(kUnifyStep);
+    if (step == UnifyStep::kExhausted) ls.reorder->Flush();
+    const bool progress = ls.unifier->stats().events_in != before ||
+                          !ls.out.empty() || step == UnifyStep::kExhausted;
+    // Metrics ride the stats deltas — one pair of counter adds per slice,
+    // nothing per event.
     const UnifyStats& after = ls.unifier->stats();
     if (obs::Enabled()) {
       PipelineMetrics& m = Metrics();
       m.shard_events.Add(after.events_in - ls.events_published);
       m.shard_jframes.Add(after.jframes - ls.jframes_published);
-      m.queue_peak.UpdateMax(static_cast<std::int64_t>(ls.queue.size()));
     }
     ls.events_published = after.events_in;
     ls.jframes_published = after.jframes;
+    Publish(ls, step);
     return progress;
   }
 
-  bool WorkerRound(unsigned w) {
-    bool progress = false;
-    for (std::size_t s = w; s < live.size(); s += workers) {
-      progress = StepShard(*live[s], /*one_slice=*/false) || progress;
+  // Hands the slice's output to the consumer.  A starved or exhausted
+  // shard parks for the rest of the poll.
+  void Publish(LiveShard& ls, UnifyStep step) {
+    std::size_t depth = 0;
+    {
+      std::lock_guard lk(ls.mu);
+      if (!ls.out.empty()) {
+        ls.depth += ls.out.size();
+        ls.ready.push_back(std::move(ls.out));
+      }
+      ls.reorder_held = ls.reorder->size();
+      if (step != UnifyStep::kMore) ls.parked = true;
+      if (step == UnifyStep::kExhausted) ls.exhausted = true;
+      MaybeSpill(ls);
+      depth = ls.depth;
+      if (ls.consumer_waiting) ls.ready_cv.notify_one();
     }
-    return progress;
+    ls.out.clear();  // moved from: valid but unspecified
+    if (obs::Enabled()) {
+      Metrics().queue_peak.UpdateMax(static_cast<std::int64_t>(depth));
+    }
+  }
+
+  // Takes the consumer's spent batches back, outside the lock, right
+  // before a slice: their carcasses go to the pool just as the unifier
+  // needs them (absorbed after the slice instead, each shard would park a
+  // batch of idle carcasses), and one spent vector, with its capacity,
+  // becomes the slice's output batch.
+  void Absorb(LiveShard& ls, std::vector<Batch>& returned) {
+    for (Batch& b : returned) {
+      for (JFrame& jf : b) ls.pool.Recycle(std::move(jf));
+      b.clear();
+      if (ls.out.capacity() < b.capacity()) ls.out.swap(b);
+    }
+  }
+
+  // Room for one more slice without passing the watermark: the shard's
+  // jframes in flight — ready batches plus the one being merged — stay at
+  // or under kMergeQueueWatermark.  mu held.
+  static bool HasRoom(const LiveShard& ls) {
+    return ls.depth + kUnifyStep <= kMergeQueueWatermark;
+  }
+
+  // Moves the shard's published backlog into its spill tier when engaged:
+  // already spilling, or the merge is gated on a starved shard and this
+  // one holds spill_threshold or more.  A consumer that is merely slow
+  // never engages it — that is watermark backpressure, not lag.  Spilling
+  // stays latched until the consumer replays the spill dry; while latched,
+  // everything in `ready` is newer than everything spilled, so draining
+  // front-first preserves FIFO order.  Push refusal (budget exhausted)
+  // leaves the rest queued: the shard degrades to plain watermark
+  // backpressure until replay reclaims segments.  Worker thread, mu held.
+  void MaybeSpill(LiveShard& ls) {
+    if (ls.spill == nullptr) return;
+    if (!ls.spilling) {
+      if (!spill_gate.load(std::memory_order_relaxed) ||
+          ls.depth < config.spill_threshold) {
+        return;
+      }
+      ls.spilling = true;
+    }
+    bool moved = false;
+    while (!ls.ready.empty()) {
+      Batch& front = ls.ready.front();
+      std::size_t n = 0;
+      while (n < front.size() && ls.spill->Push(front[n])) {
+        // Push serialized without consuming; recycle the carcass.
+        ls.pool.Recycle(std::move(front[n]));
+        ++n;
+      }
+      ls.depth -= n;
+      moved = moved || n > 0;
+      if (n < front.size()) {
+        front.erase(front.begin(),
+                    front.begin() + static_cast<std::ptrdiff_t>(n));
+        break;
+      }
+      front.clear();
+      ls.spent.push_back(std::move(front));
+      ls.ready.pop_front();
+    }
+    if (moved) ls.spill->Sync();  // publish before unlocking
+  }
+
+  // One pass of the worker over one shard: spill if engaged, then step a
+  // slice unless the shard is parked or full.  Returns true if it stepped.
+  bool WorkerTurn(LiveShard& ls) {
+    std::vector<Batch> returned;
+    {
+      std::lock_guard lk(ls.mu);
+      MaybeSpill(ls);
+      if (ls.parked) return false;
+      if (!HasRoom(ls)) {
+        ls.wants_room = true;
+        return false;
+      }
+      returned.swap(ls.spent);
+    }
+    Absorb(ls, returned);
+    StepSlice(ls);
+    return true;
+  }
+
+  // Steps worker w's shards round-robin until none can advance (each is
+  // parked or full) or the session aborts.
+  void RunWorker(unsigned w) {
+    for (;;) {
+      bool stepped = false;
+      for (std::size_t s = w; s < live.size(); s += workers) {
+        if (aborted.load(std::memory_order_relaxed)) return;
+        stepped = WorkerTurn(*live[s]) || stepped;
+      }
+      if (!stepped) return;
+    }
+  }
+
+  void WorkerMain(unsigned w) {
+    Worker& me = pool[w];
+    std::unique_lock lk(pool_mu);
+    for (;;) {
+      me.cv.wait(lk, [&] { return shutdown || !me.idle; });
+      if (shutdown) return;
+      me.wake_pending = false;
+      lk.unlock();
+      try {
+        RunWorker(w);
+      } catch (...) {
+        Fail(std::current_exception());
+      }
+      lk.lock();
+      if (me.wake_pending && !aborted.load(std::memory_order_relaxed)) {
+        continue;  // relieved while running: go round again
+      }
+      me.idle = true;
+      if (--busy == 0) quiet_cv.notify_all();
+    }
+  }
+
+  // Sets worker w running.  Callers may hold a shard mutex (lock order:
+  // shard mu, then pool_mu — never the reverse).
+  void Wake(unsigned w) {
+    std::lock_guard lk(pool_mu);
+    Worker& worker = pool[w];
+    if (!worker.idle) {
+      worker.wake_pending = true;
+      return;
+    }
+    worker.idle = false;
+    ++busy;
+    worker.cv.notify_one();
+  }
+
+  void WakeAll() {
+    for (unsigned w = 0; w < workers; ++w) Wake(w);
+  }
+
+  // Records the first failure, stops the workers and releases a Poll()
+  // thread waiting on any shard.
+  void Fail(std::exception_ptr error) {
+    {
+      std::lock_guard lk(pool_mu);
+      if (!worker_error) worker_error = error;
+    }
+    aborted.store(true, std::memory_order_relaxed);
+    for (const auto& ls : live) {
+      { std::lock_guard lk(ls->mu); }
+      ls->ready_cv.notify_all();
+    }
   }
 
   void StartPool() {
-    pool.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) pool.emplace_back();
     for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([this, w] {
-        std::uint64_t seen = 0;
-        for (;;) {
-          std::unique_lock lk(pool_mu);
-          start_cv.wait(lk,
-                        [&] { return shutdown || generation != seen; });
-          if (shutdown) return;
-          seen = generation;
-          lk.unlock();
-          bool progress = false;
-          std::exception_ptr error;
-          try {
-            progress = WorkerRound(w);
-          } catch (...) {
-            error = std::current_exception();
-          }
-          lk.lock();
-          round_progress = round_progress || progress;
-          if (error) round_errors.push_back(error);
-          if (--remaining == 0) {
-            lk.unlock();
-            done_cv.notify_all();
-          }
-        }
-      });
+      pool[w].thread = std::thread([this, w] { WorkerMain(w); });
     }
   }
 
   void StopPool() {
     if (pool.empty()) return;
+    aborted.store(true, std::memory_order_relaxed);
     {
       std::lock_guard lk(pool_mu);
       shutdown = true;
+      for (Worker& worker : pool) worker.cv.notify_one();
     }
-    start_cv.notify_all();
-    for (auto& t : pool) t.join();
+    for (Worker& worker : pool) worker.thread.join();
     pool.clear();
   }
 
-  // Runs one round; returns whether any shard progressed.
+  // Blocks until every worker is parked.  The wait counts as the Poll()
+  // thread waiting for the shards.
+  void Quiesce() {
+    std::unique_lock lk(pool_mu);
+    if (busy == 0) return;
+    obs::StageTimer wait_timer(Metrics().round_wait_us);
+    quiet_cv.wait(lk, [&] { return busy == 0; });
+  }
+
+  // One pipelined poll: workers run while the Poll() thread merges; the
+  // poll ends when the merge is gated on a parked shard (or drained) and
+  // every worker has parked.
+  void RunPipelined() {
+    Metrics().rounds.Add(1);
+    spill_gate.store(false, std::memory_order_relaxed);
+    for (const auto& ls : live) {
+      std::lock_guard lk(ls->mu);
+      ls->parked = ls->exhausted;
+    }
+    WakeAll();
+    try {
+      MergeQueues();
+    } catch (...) {
+      aborted.store(true, std::memory_order_relaxed);
+      Quiesce();
+      throw;
+    }
+    if (!config.spill_dir.empty() && !aborted.load() && !AllDrained()) {
+      // Gated on a starved shard for the rest of this poll: the others'
+      // backlog may now go to disk instead of stalling at the watermark.
+      ReturnHeads();
+      spill_gate.store(true, std::memory_order_relaxed);
+      WakeAll();
+    }
+    Quiesce();
+    std::lock_guard lk(pool_mu);
+    if (worker_error) std::rethrow_exception(worker_error);
+  }
+
+  // ---- inline rounds (one worker) -----------------------------------------
+
+  // The Poll() thread steps on demand — only the shards the k-way merge is
+  // waiting on (nothing queued, not yet exhausted), one slice each.
+  // Stepping every shard up to the watermark instead would only buffer
+  // jframes the gated merge cannot emit yet: +50% peak RSS on a 156-radio
+  // merge.  Nothing is ever in flight when a shard is stepped, so the
+  // inline path never engages the spill tier.
   bool RunRound() {
     Metrics().rounds.Add(1);
-    if (pool.empty()) {
-      // One worker: the Poll() thread steps inline, on demand — only the
-      // shards the k-way merge is waiting on (nothing queued, not yet
-      // exhausted), one slice each.  Stepping every shard up to the
-      // watermark instead would only buffer jframes the gated merge cannot
-      // emit yet: +50% peak RSS on a 156-radio merge.  A stepped queue is
-      // empty at round entry, so the inline path never engages the spill
-      // tier.
-      bool progress = false;
-      for (auto& ls : live) {
-        if (ls->queue.empty()) {
-          progress = StepShard(*ls, /*one_slice=*/true) || progress;
+    bool progress = false;
+    for (auto& ls : live) {
+      std::vector<Batch> returned;
+      {
+        std::lock_guard lk(ls->mu);
+        if (ls->exhausted || !ls->ready.empty() ||
+            ls->head_pos != ls->head.size()) {
+          continue;
         }
+        returned.swap(ls->spent);
       }
-      return progress;
+      Absorb(*ls, returned);
+      progress = StepSlice(*ls) || progress;
     }
-    std::unique_lock lk(pool_mu);
-    round_progress = false;
-    remaining = pool.size();
-    ++generation;
-    start_cv.notify_all();
-    {
-      obs::StageTimer wait_timer(Metrics().round_wait_us);
-      done_cv.wait(lk, [&] { return remaining == 0; });
-    }
-    if (!round_errors.empty()) {
-      const auto error = round_errors.front();
-      round_errors.clear();
-      std::rethrow_exception(error);
-    }
-    return round_progress;
+    return progress;
   }
 
   // ---- consumer merge -----------------------------------------------------
 
-  // The shard's next jframe in FIFO order, or nullptr when it has nothing
-  // consumable right now.  The spill tier is always replayed before the
-  // in-memory queue; once it runs dry the shard drops back to in-memory
-  // hand-off (un-latching `spilling` so the worker stops draining).
-  const JFrame* ShardHead(LiveShard& ls) {
-    if (ls.spill != nullptr) {
-      if (!ls.spill_head) ls.spill_head = ls.spill->Pop();
-      if (ls.spill_head) return &*ls.spill_head;
-      if (!ls.spill->Empty()) {
-        // Spilled but not yet published — only possible mid-round, which
-        // the barrier excludes; treat as not consumable out of caution.
-        return nullptr;
+  // Moves the shard's next batch to the consumer side, spill first.  mu
+  // held.  The spill tier is always replayed before `ready`; once it runs
+  // dry the shard drops back to in-memory hand-off (un-latching `spilling`
+  // so the worker stops draining).
+  bool TakeBatch(LiveShard& ls) {
+    if (ls.spill != nullptr && (ls.spilling || !ls.spill->Empty())) {
+      while (ls.head.size() < kUnifyStep) {
+        std::optional<JFrame> jf = ls.spill->Pop();
+        if (!jf) break;
+        ls.head.push_back(std::move(*jf));
       }
-      ls.spilling = false;  // replayed dry: resume in-memory hand-off
+      if (!ls.head.empty()) {
+        ls.head_from_spill = true;
+        return true;
+      }
+      // The worker Syncs before it unlocks, so everything spilled is
+      // published; a non-empty queue here would be a lost write.
+      if (!ls.spill->Empty()) return false;
+      ls.spilling = false;
       // Reclaim the drained open segment too, releasing its budget bytes
       // — otherwise one long lag episode could pin the whole
       // max_spill_bytes budget for the rest of the session.
       ls.spill->ReclaimDrained();
     }
-    return ls.queue.empty() ? nullptr : &ls.queue.front();
+    if (ls.ready.empty()) return false;
+    ls.head = std::move(ls.ready.front());
+    ls.ready.pop_front();
+    return true;
   }
 
-  // Pops the jframe ShardHead returned.
-  JFrame TakeShardHead(LiveShard& ls) {
-    if (ls.spill_head) {
-      JFrame jf = std::move(*ls.spill_head);
-      ls.spill_head.reset();
-      return jf;
+  // Refills the shard's consumer-side batch.  Hands the spent batch back,
+  // relieves a worker stopped at the watermark, and — with a pool — waits
+  // while the shard's worker is still running.  Returns false when the
+  // shard has nothing consumable (drained, parked, inline, or aborted).
+  bool Refill(LiveShard& ls) {
+    bool got = false;
+    {
+      std::unique_lock lk(ls.mu);
+      if (!ls.head_from_spill) ls.depth -= ls.head.size();
+      if (!ls.head.empty()) ls.spent.push_back(std::move(ls.head));
+      ls.head.clear();
+      ls.head_pos = 0;
+      ls.head_from_spill = false;
+      if (ls.wants_room && HasRoom(ls)) {
+        ls.wants_room = false;
+        Wake(static_cast<unsigned>(ls.index % workers));
+      }
+      for (;;) {
+        if (TakeBatch(ls)) {
+          got = true;
+          break;
+        }
+        if (ls.exhausted && ls.ready.empty() &&
+            (ls.spill == nullptr || ls.spill->Empty())) {
+          ls.drained = true;
+          break;
+        }
+        if (pool.empty() || ls.parked ||
+            aborted.load(std::memory_order_relaxed)) {
+          break;
+        }
+        // Gated on a shard whose worker is still running: wait for its
+        // next batch.
+        ls.consumer_waiting = true;
+        {
+          obs::StageTimer wait_timer(Metrics().round_wait_us);
+          ls.ready_cv.wait(lk, [&] {
+            return !ls.ready.empty() || ls.parked ||
+                   (ls.spill != nullptr && !ls.spill->Empty()) ||
+                   aborted.load(std::memory_order_relaxed);
+          });
+        }
+        ls.consumer_waiting = false;
+      }
     }
-    JFrame jf = std::move(ls.queue.front());
-    ls.queue.pop_front();
-    return jf;
+    if (got && !pool.empty()) ObservePeak();
+    return got;
+  }
+
+  // The shard's next jframe in FIFO order, or nullptr when it has nothing
+  // consumable right now.
+  JFrame* ShardHead(LiveShard& ls) {
+    if (ls.head_pos < ls.head.size()) return &ls.head[ls.head_pos];
+    if (ls.drained || !Refill(ls)) return nullptr;
+    return &ls.head[0];
   }
 
   // Emits the globally least OrderKey among the shard heads, exactly like
   // the batch k-way merge: correctness needs a head (or final
-  // end-of-stream) from every shard before each emission, so a starved
-  // shard with nothing consumable gates the stream — the watermark stall.
+  // end-of-stream) from every shard before each emission, so a shard with
+  // nothing consumable gates the stream — the watermark stall.
   std::size_t MergeQueues() {
     std::size_t merged = 0;
     const std::size_t n = live.size();
@@ -595,7 +821,7 @@ struct MergeSession::Impl {
         LiveShard& ls = *live[i];
         const JFrame* head = ShardHead(ls);
         if (head == nullptr) {
-          if (!ls.exhausted) {
+          if (!ls.drained) {
             gated = true;
             break;
           }
@@ -607,23 +833,54 @@ struct MergeSession::Impl {
         }
       }
       if (gated || best == n) return merged;
-      JFrame jf = TakeShardHead(*live[best]);
+      LiveShard& ls = *live[best];
       ++merged;
-      Emit(std::move(jf));  // user code runs on the Poll() thread
-      // Recycle what the sink left behind into the source shard's pool
-      // (merge phase: the barrier orders this vs. that shard's worker).
-      live[best]->pool.Recycle(std::move(jf));
+      // User code runs on the Poll() thread.  The carcass stays in the
+      // batch and goes back to the shard's worker with it.
+      Emit(std::move(ls.head[ls.head_pos++]));
     }
   }
 
+  // Hands the unmerged rest of each consumer-side batch back to the front
+  // of its shard's queue, so a spill drains the shard's whole backlog, not
+  // just what the Poll() thread had yet to take.  A replayed batch stays:
+  // it precedes the rest of the spill.
+  void ReturnHeads() {
+    for (const auto& ls : live) {
+      if (ls->head_from_spill || ls->head_pos == ls->head.size()) continue;
+      Batch rest(std::make_move_iterator(ls->head.begin() +
+                                         static_cast<std::ptrdiff_t>(
+                                             ls->head_pos)),
+                 std::make_move_iterator(ls->head.end()));
+      std::lock_guard lk(ls->mu);
+      ls->depth -= ls->head_pos;
+      ls->ready.push_front(std::move(rest));
+      ls->spent.push_back(std::move(ls->head));
+      ls->head.clear();
+      ls->head_pos = 0;
+    }
+  }
+
+  bool AllDrained() const {
+    for (const auto& ls : live) {
+      if (!ls->drained) return false;
+    }
+    return true;
+  }
+
+  // Jframes between the unifiers and the sink: reorder buffers, published
+  // batches, and the unmerged part of the Poll() thread's batches.
   std::size_t Retained() const {
     std::size_t total = 0;
     for (const auto& ls : live) {
-      // Spilled jframes live on disk, not in memory — only the staged
-      // consumer-side head counts here.  That asymmetry is the point of
-      // the tier: lagging by a million jframes retains one.
-      total += ls->queue.size() + ls->reorder->size() +
-               (ls->spill_head ? 1 : 0);
+      std::lock_guard lk(ls->mu);
+      // Spilled jframes live on disk, not in memory — only the replayed
+      // batch being merged counts here.  That asymmetry is the point of
+      // the tier: lagging by a million jframes retains one batch.
+      total += ls->reorder_held +
+               (ls->head_from_spill
+                    ? ls->depth + (ls->head.size() - ls->head_pos)
+                    : ls->depth - ls->head_pos);
     }
     return total;
   }
@@ -631,6 +888,7 @@ struct MergeSession::Impl {
   std::uint64_t Spilled() const {
     std::uint64_t total = final_spilled;
     for (const auto& ls : live) {
+      std::lock_guard lk(ls->mu);
       if (ls->spill != nullptr) total += ls->spill->spilled_jframes();
     }
     return total;
@@ -639,19 +897,17 @@ struct MergeSession::Impl {
   std::uint64_t SpillBytesOnDisk() const {
     std::uint64_t total = 0;
     for (const auto& ls : live) {
+      std::lock_guard lk(ls->mu);
       if (ls->spill != nullptr) total += ls->spill->bytes_on_disk();
     }
     return total;
   }
 
-  void ObserveRetention() {
-    peak_retained = std::max(peak_retained, Retained());
-    PublishArenaMetrics();
-  }
+  void ObservePeak() { peak_retained = std::max(peak_retained, Retained()); }
 
   // Folds the pools' own counters into the registry (gauge for parked
-  // carcasses, delta-tracked counter for lifetime recycles).  Runs on the
-  // Poll() thread between rounds, so reading the shard pools is safe.
+  // carcasses, delta-tracked counter for lifetime recycles).  The pools
+  // are worker-side state, so this runs only while every worker is parked.
   void PublishArenaMetrics() {
     if (!obs::Enabled()) return;
     std::uint64_t pooled = 0;
@@ -674,18 +930,19 @@ struct MergeSession::Impl {
     Metrics().polls.Add(1);
     if (done) return Status::kDone;
     if (!bootstrapped && !TryBootstrap()) return Status::kBootstrapping;
-    for (;;) {
-      const bool stepped = RunRound();
-      ObserveRetention();
-      const bool merged = MergeQueues() > 0;
-      if (!stepped && !merged) break;
-    }
-    for (const auto& ls : live) {
-      if (!ls->exhausted || !ls->queue.empty() || ls->spill_head ||
-          (ls->spill != nullptr && !ls->spill->Empty())) {
-        return Status::kStarved;
+    if (pool.empty()) {
+      for (;;) {
+        const bool stepped = RunRound();
+        ObservePeak();
+        const bool merged = MergeQueues() > 0;
+        if (!stepped && !merged) break;
       }
+    } else {
+      RunPipelined();
     }
+    ObservePeak();
+    PublishArenaMetrics();
+    if (!AllDrained()) return Status::kStarved;
     done = true;
     // Tear the shard machinery down now, not at destruction: the contract
     // hands the streams back to the caller's TraceSet as soon as the
@@ -694,7 +951,6 @@ struct MergeSession::Impl {
     // spill segments (all replayed by now — SpillQueue's destructor only
     // cleans up files).
     StopPool();
-    PublishArenaMetrics();  // the pools die with `live` below
     final_stats = Stats();
     final_spilled = Spilled();
     live.clear();  // unifiers reference the shard trace sets — drop first

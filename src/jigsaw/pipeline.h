@@ -52,26 +52,30 @@ struct MergeConfig {
   // thread steps the shards inline, only those the k-way merge is waiting
   // on; 0 = auto (one worker per channel shard, capped by the hardware);
   // N caps the pool at N workers, which then interleave the shards
-  // cooperatively.  Every setting produces a byte-identical jframe stream.
+  // cooperatively.  Pool workers are pipelined with the calling thread:
+  // inside one Poll() they unify ahead (up to kMergeQueueWatermark jframes
+  // in flight per shard) while the caller merges and runs the sink, and
+  // they are all parked again before Poll() returns.  Every setting
+  // produces a byte-identical jframe stream.
   unsigned threads = 1;
   // ---- on-disk spill tier (see src/jigsaw/spill.h and
   // docs/ARCHITECTURE.md, "The spill tier") -------------------------------
   // Directory for spill segments; empty (the default) disables spilling.
-  // When a shard's output queue still holds spill_threshold jframes at
-  // worker-round entry — i.e. the consumer's last drain pass could not
-  // take them, which is actual lag rather than the transient fill of a
-  // round in progress — the worker drains the queue into .jigs segments
-  // under this directory and the k-way merge replays them in order before
-  // resuming in-memory hand-off.  A consumer can therefore lag far behind
-  // without the queue watermark stalling the capture-side unifiers, while
-  // a merge whose consumer keeps up touches disk only for round residue.
-  // Segments are removed as they are replayed and when the session ends;
-  // the directory should be private to one session.
+  // While the merge is gated on a starved shard (a radio whose next record
+  // is not on disk yet), every other shard holding spill_threshold or more
+  // jframes drains its backlog into .jigs segments under this directory,
+  // and the k-way merge replays them in order before resuming in-memory
+  // hand-off.  The capture-side unifiers therefore keep consuming their
+  // traces behind a lagging radio instead of stalling at the queue
+  // watermark, while a consumer that is merely slow gets watermark
+  // backpressure and never touches disk.  Segments are removed as they
+  // are replayed and when the session ends; the directory should be
+  // private to one session.
   // Spilling leaves the emitted stream byte-identical: on, off, or
   // engaging/disengaging mid-stream, for every `threads` setting (pinned in
   // tests/spill_test.cc).  With one worker (threads == 1, or a single
-  // shard) the merge never spills: an inline shard is stepped only when its
-  // queue is empty, so no queue ever holds residue at round entry.
+  // shard) the merge never spills: an inline shard is stepped only when
+  // nothing of it is queued, so no backlog ever builds up.
   std::filesystem::path spill_dir;
   // Queue depth that engages the spill tier.  Validated at entry when
   // spill_dir is set: must be positive and no larger than
@@ -109,10 +113,11 @@ MergeStreamStats MergeTracesStreaming(TraceSet& traces,
                                       const MergeConfig& config,
                                       std::function<void(JFrame&&)> sink);
 
-// Per-shard buffering bound: a shard whose output queue holds this many
-// jframes stops unifying until the consumer drains it, so retention stays
-// bounded even when one radio lags far behind the rest (the lagging shard
-// gates emission; the others throttle here).
+// Per-shard buffering bound on jframes in flight (published to the merge
+// and not yet merged): a shard steps a unifier slice only while the slice
+// fits under it, so retention stays bounded even when one radio lags far
+// behind the rest (the lagging shard gates emission; the others throttle
+// here).
 inline constexpr std::size_t kMergeQueueWatermark = 4096;
 
 // Lag between a captured frontier and an emitted timestamp, clamped at
@@ -146,6 +151,10 @@ constexpr std::int64_t ClampedLagUs(std::int64_t capture_frontier_us,
 //     (finished) inputs for every `threads` setting.
 //
 // The sink runs on the Poll()-calling thread in every threading mode.
+// Shard workers run only inside Poll(): between polls the session is
+// quiescent, so its counters and the traces' state hold still until the
+// next Poll().  With a pool, read stats() between polls, not from the
+// sink — the workers advance it while Poll() runs.
 class MergeSession {
  public:
   enum class Status { kBootstrapping, kStarved, kDone };

@@ -470,7 +470,7 @@ std::optional<JFrame> SpillQueue::Pop() {
     if (reader_ == nullptr) {
       // Tail mode: the front segment may still be the writer's open one;
       // only published blocks are visible, which is exactly the contract
-      // (Push/Sync happen-before Pop via the round barrier).
+      // (Push/Sync happen-before Pop via the shard's hand-off mutex).
       reader_ = std::make_unique<SpillSegmentReader>(segments_.front().path,
                                                      /*strict=*/false);
     }

@@ -166,10 +166,11 @@ struct SpillBudget {
 };
 
 // FIFO of jframes staged on disk between one shard's unifier and the k-way
-// merge.  Push/Sync run on the shard's worker thread; Pop runs on the
-// Poll() thread strictly after the worker round (the round barrier orders
-// them), so no internal locking is needed — the only cross-shard state is
-// the atomic budget.
+// merge.  Push/Sync run on the shard's worker thread, Pop/ReclaimDrained
+// on the Poll() thread, and the pipeline makes every call under the
+// shard's hand-off mutex; the worker Syncs before it unlocks, so replay
+// only ever touches published segments.  No internal locking is needed —
+// the only cross-shard state is the atomic budget.
 //
 // Segments rotate at ~segment_bytes so replayed data is reclaimed
 // promptly: a fully-replayed finished segment is deleted and its bytes

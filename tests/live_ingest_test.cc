@@ -248,6 +248,50 @@ TEST_F(LiveIngestTest, LaggingRadioStallsWatermarkWithoutPrematureEmission) {
   ExpectIdenticalStreams(streamed, batch.jframes);
 }
 
+// Between polls nothing runs: Poll() returns only once every shard worker
+// has parked, so the session's state holds still until the next Poll().
+// The service checkpoints and the wing relay reads its uplinks right
+// after Poll(), and both depend on this.  The rig is the laggard stall at
+// auto threads, big enough that the other shards' backlog overruns the
+// watermark — with and without a spill tier to drain it into.
+TEST_F(LiveIngestTest, WorkersAreQuiescentBetweenPolls) {
+  auto script =
+      LiveScript::FromNetwork(MultiChannelNetwork(61, Seconds(120)).Build());
+  const std::size_t n = script.size();
+  constexpr std::size_t kLaggard = 0;  // channel 1
+
+  TraceSetWriter writer(dir_ / "traces");
+  for (std::size_t i = 0; i < n; ++i) writer.AddRadio(script.headers[i]);
+  std::vector<std::size_t> cursor(n, 0);
+  std::vector<double> fraction(n, 1.0);
+  fraction[kLaggard] = 0.2;
+  AppendFractions(writer, script, cursor, fraction);
+
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spill" : "no spill");
+    TraceSet traces = TraceSet::FollowDirectory(dir_ / "traces", n);
+    MergeConfig cfg;
+    cfg.threads = 0;
+    if (spill) {
+      cfg.spill_dir = dir_ / "spill";
+      cfg.spill_threshold = 16;
+    }
+    std::size_t delivered = 0;
+    MergeSession session(traces, cfg, [&](JFrame&&) { ++delivered; });
+    ASSERT_EQ(session.Poll(), MergeSession::Status::kStarved);
+    const std::uint64_t events = session.stats().events_in;
+    const std::size_t retained = session.retained_jframes();
+    const std::uint64_t spilled = session.spilled_jframes();
+    const std::size_t emitted = delivered;
+    EXPECT_GT(retained, 0u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(session.stats().events_in, events);
+    EXPECT_EQ(session.retained_jframes(), retained);
+    EXPECT_EQ(session.spilled_jframes(), spilled);
+    EXPECT_EQ(delivered, emitted);
+  }
+}
+
 // One radio finalizes early (half its capture): the merge must NOT stall
 // on it — the finalize marker releases the watermark — and the result
 // still equals the batch merge of the same files.

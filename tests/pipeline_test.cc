@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -15,6 +17,7 @@
 #include "merge_oracle.h"
 #include "sim/scenario.h"
 #include "synthetic.h"
+#include "trace/trace_file.h"
 
 namespace jig {
 namespace {
@@ -304,6 +307,49 @@ TEST(ParallelMerge, SinkExceptionPropagatesAndAbortsWorkers) {
                                     }),
                std::runtime_error);
   EXPECT_EQ(delivered, 10u);
+}
+
+// A shard worker's failure reaches Poll() promptly: a corrupt block past
+// the bootstrap window is hit on a worker thread, and the Poll() thread —
+// whose merge gates on that dead shard sooner or later — must rethrow the
+// worker's error instead of waiting on it (the ctest TIMEOUT is the hang
+// detector).  The session stays failed, and its destructor joins cleanly.
+TEST(ParallelMerge, WorkerFailurePropagatesWithoutHang) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "jig_pipeline_worker_failure";
+  fs::remove_all(dir);
+  const auto paths =
+      MultiChannelNetwork(19, Seconds(30)).Build().WriteDirectory(dir);
+  // Garbage length word over the last block of the channel-6 radio.
+  const fs::path victim = paths.at(2);
+  std::uint64_t last_block = 0;
+  {
+    TraceFileReader reader(victim);
+    ASSERT_GE(reader.index().size(), 3u);
+    last_block = reader.index().back().file_offset;
+  }
+  {
+    std::FILE* f = std::fopen(victim.string().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(last_block), SEEK_SET), 0);
+    const std::uint8_t garbage_len[4] = {0xFF, 0xFF, 0xFF, 0x7F};
+    ASSERT_EQ(std::fwrite(garbage_len, 1, 4, f), 4u);
+    std::fclose(f);
+  }
+
+  for (unsigned threads : {2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TraceSet traces = TraceSet::OpenDirectory(dir);
+    MergeConfig cfg;
+    cfg.threads = threads;
+    {
+      MergeSession session(traces, cfg, [](JFrame&&) {});
+      EXPECT_THROW(session.Poll(), TraceCorruptError);
+      EXPECT_THROW(session.Poll(), std::logic_error);
+    }  // destructor: joins the parked workers
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

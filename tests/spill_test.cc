@@ -10,9 +10,12 @@
 //      a crash mid-spill is detected, never silently merged.
 //   3. Relief: a laggard consumer scenario spills to disk instead of
 //      retaining the backlog in memory, and max_spill_bytes exhaustion
-//      degrades to the old watermark backpressure.
+//      degrades to the old watermark backpressure.  The tier engages only
+//      while the merge is gated on a starved shard: a consumer that is
+//      merely slow gets watermark backpressure, not disk.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -231,15 +234,14 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   const MergeResult reference = OracleMerge(reference_traces);
   ASSERT_GT(reference.jframes.size(), 100u);
 
-  // The tier engages on actual lag (queue residue at worker-round entry),
-  // so a batch merge whose consumer keeps up may legitimately never touch
+  // The tier engages only while the merge is gated on a starved shard,
+  // which a batch merge never is, so here it may legitimately never touch
   // disk — SpillLaggard pins that the disk path really runs under lag.
   // Here the pin is the determinism contract: whatever each threshold
-  // makes the tier do (including engaging and disengaging mid-stream),
-  // the stream must be byte-identical to the oracle.
+  // makes the tier do, the stream must be byte-identical to the oracle.
   const SpillMode modes[] = {
       {"disabled", false, 0},
-      {"forced", true, 1},     // any round residue at all rides the disk
+      {"forced", true, 1},     // any gated backlog at all rides the disk
       {"toggling", true, 24},  // engages/disengages as queues breathe
   };
   for (const SpillMode& mode : modes) {
@@ -260,7 +262,7 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
     ExpectEqualStats(session.stats(), reference.stats);
     if (threads == 1) {
       // One worker steps a shard only while its queue is empty, so no
-      // queue ever reaches even a threshold of 1 at round entry.
+      // backlog ever reaches even a threshold of 1.
       EXPECT_EQ(session.spilled_jframes(), 0u);
     }
     if (mode.enabled) {
@@ -418,6 +420,43 @@ TEST_F(SpillTest, BudgetExhaustionDegradesToWatermarkBackpressure) {
   const MergeResult batch = OracleMerge(batch_traces);
   ExpectIdenticalStreams(streamed, batch.jframes);
 }
+
+// The spill rule: the tier engages only while the merge is gated on a
+// starved shard.  A consumer that is merely slow — here a sink spinning
+// ~20 us per jframe over finished files, so the shard workers run far
+// ahead into the watermark — gets watermark backpressure, never disk.
+class SpillSlowConsumer : public SpillTest,
+                          public ::testing::WithParamInterface<unsigned> {};
+
+TEST_P(SpillSlowConsumer, SlowSinkGetsBackpressureNotDisk) {
+  const auto trace_dir = dir_ / "traces";
+  MultiChannelNetwork(52, Seconds(120)).Build().WriteDirectory(trace_dir);
+  TraceSet oracle_traces = TraceSet::OpenDirectory(trace_dir);
+  const MergeResult oracle = OracleMerge(oracle_traces);
+  // Every shard's output must be able to reach the watermark.
+  ASSERT_GT(oracle.jframes.size(), 3 * kMergeQueueWatermark);
+
+  TraceSet traces = TraceSet::OpenDirectory(trace_dir);
+  MergeConfig cfg;
+  cfg.threads = GetParam();
+  cfg.spill_dir = dir_ / "spill";
+  cfg.spill_threshold = 16;
+  std::vector<JFrame> streamed;
+  MergeSession session(traces, cfg, [&streamed](JFrame&& jf) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    streamed.push_back(std::move(jf));
+  });
+  ASSERT_EQ(session.Poll(), MergeSession::Status::kDone);
+  EXPECT_EQ(session.spilled_jframes(), 0u);
+  ExpectIdenticalStreams(streamed, oracle.jframes);
+  ExpectEqualStats(session.stats(), oracle.stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SpillSlowConsumer,
+                         ::testing::Values(2u, 0u));
 
 // ---------------------------------------------------------------------------
 // Budget-accounting regressions.

@@ -11,7 +11,14 @@ Usage:
 
   ./build/bench_merge_throughput \
       '--benchmark_filter=BM_MergeParallel|BM_MergeSpill|BM_Bootstrap|BM_MergeDistributed' \
+      --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
       --benchmark_format=json > current.json
+
+With repetitions, each variant is gated on its `_median` aggregate row,
+so one noisy repetition cannot fail (or pass) the gate on its own.
+Without aggregate rows (a single run, the default) the gate falls back
+to the run itself; several repetitions without aggregates are reduced to
+their median here.
 
 The committed baseline (BENCH_merge.json at the repo root) is the
 normalized form: a `families` map of benchmark family -> its gate metric
@@ -47,6 +54,7 @@ missing variant, 2 usage/input error.
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -66,20 +74,44 @@ def variant_of(name: str) -> str:
     return "/".join(parts[:2])
 
 
+def run_name(b: dict) -> str:
+    """The run a row belongs to: aggregate rows carry a `_<aggregate>`
+    suffix on `name` and the plain name in `run_name`."""
+    if "run_name" in b:
+        return b["run_name"]
+    name = b.get("name", "")
+    suffix = "_" + b.get("aggregate_name", "")
+    if b.get("run_type") == "aggregate" and name.endswith(suffix):
+        return name[: -len(suffix)]
+    return name
+
+
 def normalize(raw: dict, families: dict) -> dict:
-    """Raw Google Benchmark JSON -> {family: {variant: value}}."""
-    out = {family: {} for family in families}
+    """Raw Google Benchmark JSON -> {family: {variant: value}}.
+
+    A variant's `median` aggregate row wins; without one, the median of
+    its iteration rows (usually the single run).  Other aggregates
+    (mean, stddev, cv) are ignored.
+    """
+    medians = {family: {} for family in families}
+    runs = {family: {} for family in families}
     for b in raw.get("benchmarks", []):
-        name = b.get("name", "")
+        name = run_name(b)
         family = name.split("/", 1)[0]
         metric = families.get(family)
-        if metric is None or "/" not in name:
+        if metric is None or "/" not in name or metric not in b:
             continue
+        variant = variant_of(name)
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[family][variant] = float(b[metric])
             continue
-        if metric not in b:
-            continue
-        out[family][variant_of(name)] = round(float(b[metric]), 1)
+        runs[family].setdefault(variant, []).append(float(b[metric]))
+    out = {}
+    for family in families:
+        values = {v: statistics.median(r) for v, r in runs[family].items()}
+        values.update(medians[family])
+        out[family] = {v: round(x, 1) for v, x in values.items()}
     return out
 
 
