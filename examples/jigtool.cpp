@@ -8,7 +8,7 @@
 //   jigtool demo-live <dir> [s] [ms]  simulate, then *write the traces
 //                                   incrementally* (Sync every chunk,
 //                                   finalize at the end) — a stand-in live
-//                                   writer for --follow consumers
+//                                   writer for `follow` and `stats`
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
@@ -24,9 +24,13 @@
 //                                   registry as JSON after the run;
 //                                   threads never changes the output)
 //   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
+//                 [--spill-threshold <n>]
 //                                   tail a directory that is still being
-//                                   written: resumable MergeSession +
-//                                   analysis bus, merge summary at the end
+//                                   written: per-second OnlineMonitor rows,
+//                                   a Figure 9/11 line every second stamped
+//                                   with wall-clock time and merge lag, and
+//                                   at the end the summary `merge` prints
+//                                   over the finished directory
 //   jigtool stats <dir> [interval_s] [--stats-json <file>]
 //                                   run (or tail) the merge and expose the
 //                                   metric registry in Prometheus text
@@ -99,32 +103,36 @@
 //                                   have.
 //
 // Exit codes: 0 success, 1 unreadable/missing input or unreachable peer,
-// 2 usage error (including an unknown --option), 3 corrupt or truncated
-// input (every command that reads traces or spill segments, and every
-// network door — a mid-stream disconnect is truncation).  serve
+// 2 usage error (an unknown --option, a flag the command does not take, or
+// a number argument that is not a whole non-negative integer), 3 corrupt
+// or truncated input (every command that reads traces or spill segments,
+// and every network door — a mid-stream disconnect is truncation).  serve
 // follows the same contract: an unloadable .jigc checkpoint or a
 // deployment that ends failed is 3; a missing trace directory is 1; a
 // SIGTERM'd daemon exits 0 after its final snapshot flush.
 //
-// The merge, follow and timeline commands run the streaming pipeline into
-// the analysis bus — one pass over the traces feeds every analysis at once.
-// merge/follow are fully windowed (link, interference and TCP loss ride the
-// incremental reconstructor; memory stays O(exchange-timeout window));
-// timeline opts into the collector buffer because rendering needs the
-// whole jframe vector.
+// merge, follow and stats are one driver (Drive below): one pass over the
+// traces feeds the whole stock analysis chain.  It is fully windowed (link,
+// interference and TCP loss ride the incremental reconstructor), so memory
+// stays O(exchange-timeout window).  timeline opts into the collector
+// buffer because rendering needs the whole jframe vector.
 //
 // Usage: ./build/examples/jigtool <command> <trace_dir> [args]
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -136,6 +144,7 @@
 #include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "obs/export.h"
+#include "online_table.h"
 #include "sim/scenario.h"
 #include "trace/net.h"
 #include "trace/socket_trace.h"
@@ -160,8 +169,8 @@ int CmdDemo(const char* dir) {
 
 // Replays a simulated capture as a live writer: the traces are appended in
 // capture-time chunks with a Sync (block cut + flush) after each, so a
-// concurrent `jigtool follow` / `live_monitor --follow` sees the files
-// grow; every trace is finalized at the end.
+// concurrent `jigtool follow` sees the files grow; every trace is
+// finalized at the end.
 int CmdDemoLive(const char* dir, long seconds, long chunk_wall_ms) {
   ScenarioConfig config;
   config.seed = 10;
@@ -658,251 +667,296 @@ int CmdInfo(const char* dir) {
   return 0;
 }
 
-int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json) {
-  TraceSet traces = TraceSet::OpenDirectory(dir);
+// --------------------------------------------------------------- arguments
+
+// A malformed command line: main() reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Counts, ports, sizes and durations: the whole argument must be a
+// non-negative decimal integer.
+long ParseNumber(std::string_view what, const char* text) {
+  const char* end = text + std::strlen(text);
+  long value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 0) {
+    throw UsageError(std::string(what) + " needs a non-negative integer, " +
+                     "got '" + text + "'");
+  }
+  return value;
+}
+
+struct FlagSpec {
+  std::string_view name;
+  bool takes_value;
+  std::array<std::string_view, 5> commands;  // the commands that take it
+};
+
+// Every jigtool flag.  An unknown flag, or one given to a command it is
+// not listed for, is a usage error.
+constexpr FlagSpec kFlags[] = {
+    {"--spill-dir", true, {"merge", "follow", "wing", "root", "serve"}},
+    {"--spill-threshold", true, {"merge", "follow"}},
+    {"--stats-json", true, {"merge", "stats"}},
+    {"--tcp", true, {"demo-live"}},
+    {"--ready-file", true, {"collect"}},
+    {"--expected", true, {"serve"}},
+    {"--window-us", true, {"serve"}},
+    {"--max-bytes", true, {"serve"}},
+    {"--interval-ms", true, {"serve"}},
+    {"--analysis", false, {"serve"}},
+    {"--until-done", false, {"serve"}},
+};
+
+// A parsed command line: the command, its <dir|file|port> slot, the
+// positionals after it, and the flags it was given.  Numbers are parsed
+// where a command reads them, before it does any work.
+struct Args {
+  std::string_view cmd;
+  const char* target = nullptr;
+  std::vector<const char*> pos;
+  std::map<std::string_view, const char*> flags;  // "" for a switch
+
+  const char* Text(std::string_view flag) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? nullptr : it->second;
+  }
+  long Number(std::string_view flag, long fallback) const {
+    const char* text = Text(flag);
+    return text == nullptr ? fallback : ParseNumber(flag, text);
+  }
+  // Positional i as a number, or `fallback` when it was not given.
+  long Pos(std::size_t i, std::string_view what, long fallback) const {
+    return i < pos.size() ? ParseNumber(what, pos[i]) : fallback;
+  }
+};
+
+Args ParseArgs(int argc, char** argv) {
+  Args args;
+  args.cmd = argv[1];
+  args.target = argv[2];
+  for (int i = 3; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      args.pos.push_back(argv[i]);
+      continue;
+    }
+    const auto* spec = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [arg](const FlagSpec& f) { return f.name == arg; });
+    if (spec == std::end(kFlags)) {
+      throw UsageError("unknown option: " + std::string(arg));
+    }
+    if (std::find(spec->commands.begin(), spec->commands.end(), args.cmd) ==
+        spec->commands.end()) {
+      throw UsageError(std::string(arg) + " does not apply to '" +
+                       std::string(args.cmd) + "'");
+    }
+    if (spec->takes_value && i + 1 >= argc) {
+      throw UsageError(std::string(arg) + " needs an argument");
+    }
+    args.flags[spec->name] = spec->takes_value ? argv[++i] : "";
+  }
+  return args;
+}
+
+// ------------------------------------------------------------------ driver
+//
+// merge, follow and stats share one driver.  A door chooses only its
+// trace set (batch OpenDirectory for merge, tail FollowDirectory for
+// follow and stats) and what it prints while the merge runs; the stock
+// analysis chain, the MergeSession and the Poll() loop are the same.
+
+enum class Door { kMerge, kFollow, kStats };
+
+// The stock analysis chain: windowed link reconstruction feeding the
+// interference and TCP-loss figures, plus the dispersion CDF.  Pinned in
+// place: the merge's sink holds the bus's address.
+struct StockChain {
+  StockChain() = default;
+  StockChain(const StockChain&) = delete;
+  StockChain& operator=(const StockChain&) = delete;
+
+  AnalysisBus bus;
+  LinkConsumer& link = bus.Emplace<LinkConsumer>();
+  InterferenceConsumer& interference =
+      bus.Emplace<InterferenceConsumer>(link);
+  TcpLossConsumer& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
+  DispersionConsumer& dispersion = bus.Emplace<DispersionConsumer>();
+};
+
+// True when `dir` holds at least one .jigt file, published or not.
+bool HasTraceFile(const char* dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.path().extension() == ".jigt") return true;
+  }
+  return false;
+}
+
+// Wall-clock HH:MM:SS for follow's tick lines — a live dashboard line is
+// only interpretable if you can tell *when* it was true.
+std::string WallClockNow() {
+  const std::time_t now = std::time(nullptr);
+  std::tm tm_buf{};
+  localtime_r(&now, &tm_buf);
+  char buf[16];
+  std::strftime(buf, sizeof buf, "%H:%M:%S", &tm_buf);
+  return buf;
+}
+
+std::string RegistryText() {
+  return obs::ToPrometheusText(obs::MetricRegistry::Global().Collect());
+}
+
+// What a door prints while the merge runs (tag "live") and, for follow,
+// once more at the end (tag "final").  merge prints nothing: a batch
+// merge completes in one Poll().
+void PrintTick(Door door, const char* tag, const MergeSession& session,
+               const StockChain& chain) {
+  if (door == Door::kStats) {
+    std::printf("# live merge lag: %lld us\n%s\n",
+                static_cast<long long>(session.live_lag_us()),
+                RegistryText().c_str());
+  }
+  if (door != Door::kFollow || !session.bootstrapped()) return;
+  const auto fig9 = chain.interference.SnapshotReport();
+  const auto fig11 = chain.tcp_loss.SnapshotReport();
+  std::printf("  [%s %s lag %lldus] fig9: %zu (s,r) pairs (%.1f%% "
+              "interfered) | fig11: %llu flows, loss %.4f (%.4f wireless) "
+              "| %llu jframes, %zu retained (peak %zu), %llu spilled\n",
+              tag, WallClockNow().c_str(),
+              static_cast<long long>(session.live_lag_us()),
+              fig9.pairs.size(), 100.0 * fig9.fraction_pairs_interfered,
+              static_cast<unsigned long long>(fig11.flows_considered),
+              fig11.aggregate_loss_rate, fig11.aggregate_wireless_rate,
+              static_cast<unsigned long long>(session.jframes_emitted()),
+              session.retained_jframes(), session.peak_retained_jframes(),
+              static_cast<unsigned long long>(session.spilled_jframes()));
+}
+
+// The summary merge and follow both end with.  Every line is a function
+// of the emitted stream alone, so a follow that tailed a capture to its
+// end prints exactly what a merge of the finished directory prints.
+void PrintSummary(const MergeSession& session, const StockChain& chain) {
+  const BootstrapResult& boot = session.bootstrap();
+  const UnifyStats st = session.stats();
+  std::printf("radios synced:     %zu/%zu (BFS depth %d, |G|=%zu)\n",
+              boot.SyncedCount(), boot.synced.size(), boot.max_bfs_depth,
+              boot.sync_set_size);
+  std::printf("events:            %llu (%llu valid, %llu FCS-err, %llu "
+              "PHY-err)\n",
+              static_cast<unsigned long long>(st.events_in),
+              static_cast<unsigned long long>(st.valid_in),
+              static_cast<unsigned long long>(st.fcs_error_in),
+              static_cast<unsigned long long>(st.phy_error_in));
+  std::printf("jframes:           %llu (%.2f events each, %llu resyncs)\n",
+              static_cast<unsigned long long>(st.jframes),
+              st.EventsPerJframe(),
+              static_cast<unsigned long long>(st.resyncs));
+  const Distribution& dispersion = chain.dispersion.distribution();
+  if (!dispersion.empty()) {
+    std::printf("sync dispersion:   p50 %.0f us, p90 %.0f us, p99 %.0f us\n",
+                dispersion.Quantile(0.50), dispersion.Quantile(0.90),
+                dispersion.Quantile(0.99));
+  }
+  const LinkStats& link = chain.link.stats();
+  std::printf("link layer:        %llu attempts -> %llu exchanges "
+              "(%.2f%% / %.2f%% inferred)\n",
+              static_cast<unsigned long long>(link.attempts),
+              static_cast<unsigned long long>(link.exchanges),
+              100.0 * link.AttemptInferenceRate(),
+              100.0 * link.ExchangeInferenceRate());
+  const InterferenceReport& fig9 = chain.interference.report();
+  std::printf("interference:      %zu (s,r) pairs, %.1f%% interfered, "
+              "background loss %.3f\n",
+              fig9.pairs.size(), 100.0 * fig9.fraction_pairs_interfered,
+              fig9.mean_background_loss);
+  const TcpLossReport& fig11 = chain.tcp_loss.report();
+  std::printf("tcp loss:          %llu flows, %.4f aggregate "
+              "(%.4f wireless / %.4f wired)\n",
+              static_cast<unsigned long long>(fig11.flows_considered),
+              fig11.aggregate_loss_rate, fig11.aggregate_wireless_rate,
+              fig11.aggregate_wired_rate);
+  const std::uint64_t seen = chain.bus.jframes_seen();
+  const std::size_t peak = chain.link.peak_window_jframes();
+  std::printf("stream window:     peak %zu jframes buffered "
+              "(%.2f%% of %llu)\n",
+              peak,
+              seen ? 100.0 * static_cast<double>(peak) /
+                         static_cast<double>(seen)
+                   : 0.0,
+              static_cast<unsigned long long>(seen));
+}
+
+// Positionals: merge [threads]; follow [radios] [threads]; stats
+// [interval_s].
+int Drive(Door door, const Args& a) {
+  const char* dir = a.target;
+  MergeConfig cfg;  // stats keeps the default threading
+  if (door != Door::kStats) {
+    cfg.threads = static_cast<unsigned>(
+        a.Pos(door == Door::kFollow ? 1 : 0, "threads", 0));
+  }
+  if (const char* spill_dir = a.Text("--spill-dir")) cfg.spill_dir = spill_dir;
+  if (const long n = a.Number("--spill-threshold", 0); n > 0) {
+    cfg.spill_threshold = static_cast<std::size_t>(n);
+  }
+  const auto radios = static_cast<std::size_t>(
+      door == Door::kFollow ? a.Pos(0, "radios", 0) : 0);
+  const long interval_s =
+      door == Door::kStats ? std::max(1L, a.Pos(0, "interval_s", 1)) : 1;
+  const char* stats_json = a.Text("--stats-json");
+
+  // Missing input fails fast: follow may start before the writer creates
+  // its first trace, but its directory must exist; stats needs a trace
+  // file now rather than after FollowDirectory's settle timeout.
+  TraceSet traces;
+  if (door == Door::kMerge) {
+    traces = TraceSet::OpenDirectory(dir);
+  } else if (door == Door::kStats ? HasTraceFile(dir)
+                                  : std::filesystem::is_directory(dir)) {
+    if (door == Door::kFollow) std::printf("following %s ...\n", dir);
+    traces = TraceSet::FollowDirectory(dir, radios);
+  }
   if (traces.empty()) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
   }
-  // One streaming pass: the (optionally channel-sharded parallel) merge
-  // feeds the windowed link reconstruction, the interference and TCP-loss
-  // figures and the dispersion CDF through the bus — no jframe vector is
-  // ever materialized; peak buffering is bounded by the 500 ms exchange
-  // timeout.
-  AnalysisBus bus;
-  auto& link = bus.Emplace<LinkConsumer>();
-  auto& interference = bus.Emplace<InterferenceConsumer>(link);
-  auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
-  auto& dispersion = bus.Emplace<DispersionConsumer>();
-  MergeConfig cfg;
-  cfg.threads = threads;
-  if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
-  if (spill_threshold > 0) {
-    cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
-  }
-  const auto stream = MergeTracesStreaming(traces, cfg, bus.Sink());
-  bus.Finish();
 
-  const auto& st = stream.stats;
-  std::printf("radios synced:     %zu/%zu (BFS depth %d, |G|=%zu)\n",
-              stream.bootstrap.SyncedCount(), stream.bootstrap.synced.size(),
-              stream.bootstrap.max_bfs_depth,
-              stream.bootstrap.sync_set_size);
-  std::printf("events:            %llu (%llu valid, %llu FCS-err, %llu "
-              "PHY-err)\n",
-              static_cast<unsigned long long>(st.events_in),
-              static_cast<unsigned long long>(st.valid_in),
-              static_cast<unsigned long long>(st.fcs_error_in),
-              static_cast<unsigned long long>(st.phy_error_in));
-  std::printf("jframes:           %llu (%.2f events each, %llu resyncs)\n",
-              static_cast<unsigned long long>(st.jframes),
-              st.EventsPerJframe(),
-              static_cast<unsigned long long>(st.resyncs));
-  if (!dispersion.distribution().empty()) {
-    std::printf("sync dispersion:   p50 %.0f us, p90 %.0f us, p99 %.0f us\n",
-                dispersion.distribution().Quantile(0.50),
-                dispersion.distribution().Quantile(0.90),
-                dispersion.distribution().Quantile(0.99));
+  StockChain chain;
+  if (door == Door::kFollow) {
+    std::printf("tailing %zu traces\n", traces.size());
+    PrintOnlineHeader();
+    chain.bus.Emplace<OnlineMonitorConsumer>(Seconds(1),
+                                             OnlineTablePrinter());
   }
-  std::printf("link layer:        %llu attempts -> %llu exchanges "
-              "(%.2f%% / %.2f%% inferred)\n",
-              static_cast<unsigned long long>(link.stats().attempts),
-              static_cast<unsigned long long>(link.stats().exchanges),
-              100.0 * link.stats().AttemptInferenceRate(),
-              100.0 * link.stats().ExchangeInferenceRate());
-  std::printf("interference:      %zu (s,r) pairs, %.1f%% interfered, "
-              "background loss %.3f\n",
-              interference.report().pairs.size(),
-              100.0 * interference.report().fraction_pairs_interfered,
-              interference.report().mean_background_loss);
-  std::printf("tcp loss:          %llu flows, %.4f aggregate "
-              "(%.4f wireless / %.4f wired)\n",
-              static_cast<unsigned long long>(
-                  tcp_loss.report().flows_considered),
-              tcp_loss.report().aggregate_loss_rate,
-              tcp_loss.report().aggregate_wireless_rate,
-              tcp_loss.report().aggregate_wired_rate);
-  std::printf("stream window:     peak %zu jframes buffered "
-              "(%.2f%% of %llu)\n",
-              link.peak_window_jframes(),
-              bus.jframes_seen()
-                  ? 100.0 * static_cast<double>(link.peak_window_jframes()) /
-                        static_cast<double>(bus.jframes_seen())
-                  : 0.0,
-              static_cast<unsigned long long>(bus.jframes_seen()));
-  if (stats_json != nullptr) {
-    obs::WriteFileAtomic(stats_json,
-                         obs::ToJson(obs::MetricRegistry::Global().Collect()));
-    std::printf("metrics json:      %s\n", stats_json);
-  }
-  return 0;
-}
+  MergeSession session(traces, cfg, chain.bus.Sink());
 
-// Tails a directory of growing traces with a resumable MergeSession and
-// prints periodic Figure 9/11 snapshots; once every writer finalizes, the
-// summary is identical to `jigtool merge` over the finished files (the
-// live stream is byte-identical to the batch stream by construction).
-int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
-              const char* spill_dir, long spill_threshold) {
-  // The writer may not have created any trace yet, but the directory
-  // itself must exist: a typo should fail fast, not after the settle
-  // timeout.
-  if (!std::filesystem::is_directory(dir)) {
-    std::fprintf(stderr, "no such directory: %s\n", dir);
-    return 1;
-  }
-  std::printf("following %s ...\n", dir);
-  TraceSet traces;
-  try {
-    traces = TraceSet::FollowDirectory(dir, radios);
-  } catch (const TraceError&) {
-    throw;  // corrupt input: exit 3, below
-  } catch (const std::runtime_error& e) {  // no traces before the deadline
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-  std::printf("tailing %zu traces\n", traces.size());
-
-  AnalysisBus bus;
-  auto& link = bus.Emplace<LinkConsumer>();
-  auto& interference = bus.Emplace<InterferenceConsumer>(link);
-  auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
-  auto& dispersion = bus.Emplace<DispersionConsumer>();
-  MergeConfig cfg;
-  cfg.threads = threads;
-  if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
-  if (spill_threshold > 0) {
-    cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
-  }
-  MergeSession session(traces, cfg, bus.Sink());
-
-  auto last_snapshot = std::chrono::steady_clock::now();
-  for (;;) {
-    const auto status = session.Poll();
-    if (status == MergeSession::Status::kDone) break;
+  auto last_tick = std::chrono::steady_clock::now();
+  while (session.Poll() != MergeSession::Status::kDone) {
     const auto now = std::chrono::steady_clock::now();
-    if (session.bootstrapped() &&
-        now - last_snapshot >= std::chrono::seconds(1)) {
-      const auto fig9 = interference.SnapshotReport();
-      const auto fig11 = tcp_loss.SnapshotReport();
-      std::printf("  [live] %llu jframes | fig9 %zu pairs (%.1f%% "
-                  "interfered) | fig11 %llu flows loss %.4f | "
-                  "%zu retained, %llu spilled\n",
-                  static_cast<unsigned long long>(session.jframes_emitted()),
-                  fig9.pairs.size(),
-                  100.0 * fig9.fraction_pairs_interfered,
-                  static_cast<unsigned long long>(fig11.flows_considered),
-                  fig11.aggregate_loss_rate, session.retained_jframes(),
-                  static_cast<unsigned long long>(
-                      session.spilled_jframes()));
-      last_snapshot = now;
+    if (now - last_tick >= std::chrono::seconds(interval_s)) {
+      PrintTick(door, "live", session, chain);
+      last_tick = now;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  bus.Finish();
+  chain.bus.Finish();
 
-  const auto st = session.stats();
-  std::printf("radios synced:     %zu/%zu\n",
-              session.bootstrap().SyncedCount(),
-              session.bootstrap().synced.size());
-  std::printf("events:            %llu (%llu valid, %llu FCS-err, %llu "
-              "PHY-err)\n",
-              static_cast<unsigned long long>(st.events_in),
-              static_cast<unsigned long long>(st.valid_in),
-              static_cast<unsigned long long>(st.fcs_error_in),
-              static_cast<unsigned long long>(st.phy_error_in));
-  std::printf("jframes:           %llu (%.2f events each, %llu resyncs)\n",
-              static_cast<unsigned long long>(st.jframes),
-              st.EventsPerJframe(),
-              static_cast<unsigned long long>(st.resyncs));
-  if (!dispersion.distribution().empty()) {
-    std::printf("sync dispersion:   p50 %.0f us, p90 %.0f us, p99 %.0f us\n",
-                dispersion.distribution().Quantile(0.50),
-                dispersion.distribution().Quantile(0.90),
-                dispersion.distribution().Quantile(0.99));
+  if (door == Door::kStats) {
+    std::printf("%s", RegistryText().c_str());
+  } else {
+    PrintTick(door, "final", session, chain);
+    PrintSummary(session, chain);
   }
-  std::printf("interference:      %zu (s,r) pairs, %.1f%% interfered\n",
-              interference.report().pairs.size(),
-              100.0 * interference.report().fraction_pairs_interfered);
-  std::printf("tcp loss:          %llu flows, %.4f aggregate "
-              "(%.4f wireless / %.4f wired)\n",
-              static_cast<unsigned long long>(
-                  tcp_loss.report().flows_considered),
-              tcp_loss.report().aggregate_loss_rate,
-              tcp_loss.report().aggregate_wireless_rate,
-              tcp_loss.report().aggregate_wired_rate);
-  std::printf("live retention:    peak %zu jframes buffered, %llu spilled "
-              "to disk\n",
-              session.peak_retained_jframes(),
-              static_cast<unsigned long long>(session.spilled_jframes()));
+  if (stats_json != nullptr) {
+    obs::WriteFileAtomic(stats_json,
+                         obs::ToJson(obs::MetricRegistry::Global().Collect()));
+    std::fprintf(stderr, "wrote metrics JSON to %s\n", stats_json);
+  }
   return 0;
-}
-
-// Runs (or tails) the merge over a directory and exposes the pipeline
-// metric registry in Prometheus text format: one dump every `interval_s`
-// while the run is live, and a final dump once it completes.  With
-// --stats-json the final snapshot is also written as JSON.  Works on
-// finalized and still-growing directories alike (FollowDirectory tails
-// both).
-int CmdStats(const char* dir, long interval_s, const char* stats_json) {
-  namespace fs = std::filesystem;
-  // Pre-check the directory so missing input fails fast instead of
-  // spending FollowDirectory's settle timeout.
-  std::error_code ec;
-  bool any_trace = false;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".jigt") {
-      any_trace = true;
-      break;
-    }
-  }
-  if (ec || !any_trace) {
-    std::fprintf(stderr, "no .jigt files in %s\n", dir);
-    return 1;
-  }
-  if (interval_s <= 0) interval_s = 1;
-  try {
-    TraceSet traces = TraceSet::FollowDirectory(dir);
-    // Register the stock analysis chain so the bus/consumer metrics tick:
-    // a stats run should expose the same stages a real merge exercises.
-    AnalysisBus bus;
-    auto& link = bus.Emplace<LinkConsumer>();
-    bus.Emplace<InterferenceConsumer>(link);
-    bus.Emplace<TcpLossConsumer>(link);
-    MergeConfig cfg;
-    MergeSession session(traces, cfg, bus.Sink());
-    auto last_dump = std::chrono::steady_clock::now();
-    for (;;) {
-      const auto status = session.Poll();
-      if (status == MergeSession::Status::kDone) break;
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_dump >= std::chrono::seconds(interval_s)) {
-        std::printf("# live merge lag: %lld us\n%s\n",
-                    static_cast<long long>(session.live_lag_us()),
-                    obs::ToPrometheusText(session.MetricsSnapshot()).c_str());
-        last_dump = now;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    bus.Finish();
-    const auto snapshot = session.MetricsSnapshot();
-    std::printf("%s", obs::ToPrometheusText(snapshot).c_str());
-    if (stats_json != nullptr) {
-      obs::WriteFileAtomic(stats_json, obs::ToJson(snapshot));
-      std::fprintf(stderr, "wrote metrics JSON to %s\n", stats_json);
-    }
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated input: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt input: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
 }
 
 // Decodes every spill segment in a directory using the strict reader —
@@ -1008,211 +1062,100 @@ int CmdTimeline(const char* dir, Micros span) {
 
 int Run(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: jigtool demo|demo-live|info|merge|follow|stats|"
-                 "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
-                 "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] "
-                 "[--tcp <port>]\n");
-    return 2;
+    throw UsageError(
+        "usage: jigtool demo|demo-live|info|merge|follow|stats|"
+        "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
+        "<dir|file|port> [args] [--option ...]");
   }
-  const char* cmd = argv[1];
-  const char* dir = argv[2];
-  // Extract the flags any subcommand may carry; what remains are the
-  // positional arguments.
-  const char* spill_dir = nullptr;
-  const char* stats_json = nullptr;
-  long spill_threshold = 0;
-  long tcp_port = -1;
-  ServeOptions serve_opt;
-  const char* ready_file = nullptr;
-  std::vector<const char*> pos;
-  const auto long_flag = [&](int& i, const char* flag, long& out) {
-    if (std::strcmp(argv[i], flag) != 0) return false;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s needs a numeric argument\n", flag);
-      std::exit(2);
-    }
-    out = std::atol(argv[++i]);
-    return true;
-  };
-  for (int i = 3; i < argc; ++i) {
-    if (long_flag(i, "--expected", serve_opt.expected) ||
-        long_flag(i, "--window-us", serve_opt.window_us) ||
-        long_flag(i, "--max-bytes", serve_opt.max_bytes) ||
-        long_flag(i, "--interval-ms", serve_opt.interval_ms)) {
-      continue;
-    }
-    if (std::strcmp(argv[i], "--analysis") == 0) {
-      serve_opt.analysis = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--ready-file") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--ready-file needs a file argument\n");
-        return 2;
-      }
-      ready_file = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--until-done") == 0) {
-      serve_opt.until_done = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--spill-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--spill-dir needs a directory argument\n");
-        return 2;
-      }
-      spill_dir = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--stats-json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--stats-json needs a file argument\n");
-        return 2;
-      }
-      stats_json = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--spill-threshold") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--spill-threshold needs a jframe count\n");
-        return 2;
-      }
-      spill_threshold = std::atol(argv[++i]);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--tcp") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--tcp needs a port argument\n");
-        return 2;
-      }
-      tcp_port = std::atol(argv[++i]);
-      continue;
-    }
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      return 2;
-    }
-    pos.push_back(argv[i]);
-  }
-  const auto pos_long = [&pos](std::size_t i, long fallback) {
-    return pos.size() > i ? std::atol(pos[i]) : fallback;
-  };
-  if (spill_dir != nullptr && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "follow") != 0 && std::strcmp(cmd, "root") != 0 &&
-      std::strcmp(cmd, "wing") != 0 && std::strcmp(cmd, "serve") != 0) {
-    std::fprintf(stderr,
-                 "warning: --spill-dir only applies to merge/follow/wing/"
-                 "root/serve; ignored for '%s'\n",
-                 cmd);
-  }
-  if (tcp_port >= 0 && std::strcmp(cmd, "demo-live") != 0) {
-    std::fprintf(stderr,
-                 "warning: --tcp only applies to demo-live; "
-                 "ignored for '%s'\n",
-                 cmd);
-  }
-  if (stats_json != nullptr && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "stats") != 0) {
-    std::fprintf(stderr,
-                 "warning: --stats-json only applies to merge/stats; "
-                 "ignored for '%s'\n",
-                 cmd);
-  }
-  if (std::strcmp(cmd, "demo") == 0) return CmdDemo(dir);
-  if (std::strcmp(cmd, "demo-live") == 0) {
-    if (tcp_port >= 0) {
+  const Args a = ParseArgs(argc, argv);
+  const std::string_view cmd = a.cmd;
+  const char* dir = a.target;
+  if (cmd == "demo") return CmdDemo(dir);
+  if (cmd == "demo-live") {
+    const long seconds = a.Pos(0, "seconds", 10);
+    const long chunk_ms = a.Pos(1, "chunk ms", 250);
+    if (a.Text("--tcp") != nullptr) {
       // <dir> is ignored in TCP mode: the radios stream to a collector
       // instead of appending files.
-      return CmdDemoLiveTcp(pos_long(0, 10), pos_long(1, 250), tcp_port);
+      return CmdDemoLiveTcp(seconds, chunk_ms, a.Number("--tcp", 0));
     }
-    return CmdDemoLive(dir, pos_long(0, 10), pos_long(1, 250));
+    return CmdDemoLive(dir, seconds, chunk_ms);
   }
-  if (std::strcmp(cmd, "serve-trace") == 0) {
-    if (pos.size() < 2) {
-      std::fprintf(stderr,
-                   "usage: jigtool serve-trace <file.jigt> <host> <port>\n");
-      return 2;
+  if (cmd == "serve-trace") {
+    if (a.pos.size() < 2) {
+      throw UsageError("usage: jigtool serve-trace <file.jigt> <host> <port>");
     }
-    return CmdServeTrace(dir, pos[0], std::atol(pos[1]));
+    return CmdServeTrace(dir, a.pos[0], a.Pos(1, "port", 0));
   }
-  if (std::strcmp(cmd, "collect") == 0) {
-    if (pos.size() < 2) {
-      std::fprintf(stderr,
-                   "usage: jigtool collect <out_dir> <port> <n> "
-                   "[--ready-file <file>]\n");
-      return 2;
+  if (cmd == "collect") {
+    if (a.pos.size() < 2) {
+      throw UsageError("usage: jigtool collect <out_dir> <port> <n> "
+                       "[--ready-file <file>]");
     }
-    return CmdCollect(dir, std::atol(pos[0]), std::atol(pos[1]), ready_file);
+    return CmdCollect(dir, a.Pos(0, "port", 0), a.Pos(1, "n", 0),
+                      a.Text("--ready-file"));
   }
-  if (std::strcmp(cmd, "wing") == 0) {
-    if (pos.size() < 2) {
-      std::fprintf(stderr,
-                   "usage: jigtool wing <dir> <root_host> <root_port> "
-                   "[wing_id] [threads]\n");
-      return 2;
+  if (cmd == "wing") {
+    if (a.pos.size() < 2) {
+      throw UsageError("usage: jigtool wing <dir> <root_host> <root_port> "
+                       "[wing_id] [threads]");
     }
-    return CmdWing(dir, pos[0], std::atol(pos[1]), pos_long(2, 0),
-                   static_cast<unsigned>(pos_long(3, 0)), spill_dir);
+    return CmdWing(dir, a.pos[0], a.Pos(1, "root_port", 0),
+                   a.Pos(2, "wing_id", 0),
+                   static_cast<unsigned>(a.Pos(3, "threads", 0)),
+                   a.Text("--spill-dir"));
   }
-  if (std::strcmp(cmd, "root") == 0) {
+  if (cmd == "root") {
     // <dir> slot carries the port for this command.
-    if (pos.empty()) {
-      std::fprintf(stderr,
-                   "usage: jigtool root <port> <n> [threads] "
-                   "[--spill-dir <sdir>]\n");
-      return 2;
+    if (a.pos.empty()) {
+      throw UsageError(
+          "usage: jigtool root <port> <n> [threads] [--spill-dir <sdir>]");
     }
-    return CmdRoot(std::atol(dir), std::atol(pos[0]),
-                   static_cast<unsigned>(pos_long(1, 0)), spill_dir);
+    return CmdRoot(ParseNumber("port", dir), a.Pos(0, "n", 0),
+                   static_cast<unsigned>(a.Pos(1, "threads", 0)),
+                   a.Text("--spill-dir"));
   }
-  if (std::strcmp(cmd, "serve") == 0) {
+  if (cmd == "serve") {
     // <dir> slot carries the state root; every positional is a deployment.
-    if (pos.empty()) {
-      std::fprintf(stderr,
-                   "usage: jigtool serve <state_root> <trace_dir> "
-                   "[<trace_dir>...] [--expected <n>] [--window-us <us>] "
-                   "[--max-bytes <n>] [--interval-ms <ms>] [--analysis] "
-                   "[--until-done] [--spill-dir <sdir>]\n");
-      return 2;
+    if (a.pos.empty()) {
+      throw UsageError(
+          "usage: jigtool serve <state_root> <trace_dir> [<trace_dir>...] "
+          "[--expected <n>] [--window-us <us>] [--max-bytes <n>] "
+          "[--interval-ms <ms>] [--analysis] [--until-done] "
+          "[--spill-dir <sdir>]");
     }
-    serve_opt.spill_dir = spill_dir;
-    return CmdServe(dir, pos, serve_opt);
+    ServeOptions serve_opt;
+    serve_opt.expected = a.Number("--expected", 0);
+    serve_opt.window_us = a.Number("--window-us", 0);
+    serve_opt.max_bytes = a.Number("--max-bytes", 0);
+    serve_opt.interval_ms = a.Number("--interval-ms", 500);
+    serve_opt.analysis = a.Text("--analysis") != nullptr;
+    serve_opt.until_done = a.Text("--until-done") != nullptr;
+    serve_opt.spill_dir = a.Text("--spill-dir");
+    return CmdServe(dir, a.pos, serve_opt);
   }
-  if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
-  if (std::strcmp(cmd, "merge") == 0) {
-    return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json);
-  }
-  if (std::strcmp(cmd, "follow") == 0) {
-    return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),
-                     static_cast<unsigned>(pos_long(1, 0)), spill_dir,
-                     spill_threshold);
-  }
-  if (std::strcmp(cmd, "stats") == 0) {
-    return CmdStats(dir, pos_long(0, 1), stats_json);
-  }
-  if (std::strcmp(cmd, "inspect-spill") == 0) return CmdInspectSpill(dir);
-  if (std::strcmp(cmd, "timeline") == 0) {
-    return CmdTimeline(dir, pos_long(0, 5000));
-  }
-  std::fprintf(stderr, "unknown command: %s\n", cmd);
-  return 2;
+  if (cmd == "info") return CmdInfo(dir);
+  if (cmd == "merge") return Drive(Door::kMerge, a);
+  if (cmd == "follow") return Drive(Door::kFollow, a);
+  if (cmd == "stats") return Drive(Door::kStats, a);
+  if (cmd == "inspect-spill") return CmdInspectSpill(dir);
+  if (cmd == "timeline") return CmdTimeline(dir, a.Pos(0, "span us", 5000));
+  throw UsageError("unknown command: " + std::string(cmd));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Input errors no subcommand handled itself still honor the exit-code
-  // contract instead of aborting.
+  // Every failure honors the exit-code contract instead of aborting.
   try {
     return Run(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const TraceError& e) {  // corrupt or truncated input
     std::fprintf(stderr, "%s\n", e.what());
     return 3;
-  } catch (const std::filesystem::filesystem_error& e) {  // missing input
+  } catch (const std::exception& e) {  // missing input, settle timeout, ...
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }

@@ -985,21 +985,6 @@ MergeSession::Status MergeSession::Poll() {
   }
 }
 
-MergeStreamStats MergeSession::Drain() {
-  for (;;) {
-    const Status status = Poll();
-    if (status == Status::kDone) break;
-    // Only live sources ever starve; give their writers a moment.  Batch
-    // inputs complete in a single Poll with no sleeps.
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        status == Status::kBootstrapping ? 1000 : 200));
-  }
-  MergeStreamStats out;
-  out.bootstrap = impl_->bootstrap;
-  out.stats = impl_->Stats();
-  return out;
-}
-
 bool MergeSession::bootstrapped() const { return impl_->bootstrapped; }
 
 const BootstrapResult& MergeSession::bootstrap() const {
@@ -1028,15 +1013,22 @@ std::uint64_t MergeSession::spill_bytes_on_disk() const {
 
 std::int64_t MergeSession::live_lag_us() const { return impl_->LiveLagUs(); }
 
-obs::MetricsSnapshot MergeSession::MetricsSnapshot() const {
-  return obs::MetricRegistry::Global().Collect();
-}
-
 MergeStreamStats MergeTracesStreaming(TraceSet& traces,
                                       const MergeConfig& config,
                                       std::function<void(JFrame&&)> sink) {
   MergeSession session(traces, config, std::move(sink));
-  return session.Drain();
+  for (;;) {
+    const MergeSession::Status status = session.Poll();
+    if (status == MergeSession::Status::kDone) break;
+    // Only live sources ever starve; give their writers a moment.  Batch
+    // inputs complete in a single Poll with no sleeps.
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        status == MergeSession::Status::kBootstrapping ? 1000 : 200));
+  }
+  MergeStreamStats out;
+  out.bootstrap = session.bootstrap();
+  out.stats = session.stats();
+  return out;
 }
 
 MergeResult MergeTraces(TraceSet& traces, const MergeConfig& config) {

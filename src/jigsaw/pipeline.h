@@ -34,7 +34,6 @@
 
 #include "jigsaw/bootstrap.h"
 #include "jigsaw/unifier.h"
-#include "obs/metrics.h"
 
 namespace jig {
 
@@ -172,10 +171,6 @@ class MergeSession {
   // without new data.  Never blocks waiting for a writer.
   Status Poll();
 
-  // Polls to completion, sleeping briefly whenever the sources are starved
-  // — the batch semantics.  Requires every writer to eventually finalize.
-  MergeStreamStats Drain();
-
   bool bootstrapped() const;
   // Valid once bootstrapped() is true.
   const BootstrapResult& bootstrap() const;
@@ -197,11 +192,6 @@ class MergeSession {
   // follow this is the merge lag a dashboard wants; for a batch merge it is
   // just the reorder-horizon depth at the moment of the call.
   std::int64_t live_lag_us() const;
-  // Aggregated view of the process-global metric registry (every stage —
-  // trace IO, bootstrap, shards, spill, merge, analysis bus — reports into
-  // one registry, so this is a whole-pipeline snapshot, not a per-session
-  // one).  Feed it to obs::ToPrometheusText / obs::ToJson.
-  obs::MetricsSnapshot MetricsSnapshot() const;
 
  private:
   struct Impl;

@@ -4,12 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "trace/tail_trace.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
@@ -248,6 +248,7 @@ DeploymentMonitor::DeploymentMonitor(DeploymentConfig config,
                                      StreamWrapper wrapper)
     : config_(std::move(config)),
       wrapper_(std::move(wrapper)),
+      scan_(config_.trace_dir, /*tail=*/true),
       last_checkpoint_(std::chrono::steady_clock::now()),
       metrics_(std::make_unique<OutMetrics>(config_.name)) {
   fs::create_directories(config_.state_dir / "out");
@@ -449,37 +450,15 @@ DeploymentMonitor::State DeploymentMonitor::PollOnce() {
 
 void DeploymentMonitor::Discover() {
   std::error_code ec;
-  for (const auto& entry :
-       fs::directory_iterator(config_.trace_dir, ec)) {
-    if (entry.path().extension() != ".jigt") continue;
-    const std::string key = entry.path().string();
-    if (pending_.contains(key)) continue;
-    // nullptr = header not fully published yet; retry next round.
-    if (auto trace = TailFileTrace::TryOpen(entry.path())) {
-      pending_.emplace(key, std::move(trace));
-    }
-  }
-  if (ec || pending_.empty()) return;
-  if (pending_.size() < expected_traces_) return;
+  scan_.Step(ec);
+  if (ec || scan_.empty()) return;
+  if (scan_.size() < expected_traces_) return;
   StartSession();
 }
 
 void DeploymentMonitor::StartSession() {
-  // Deterministic set order: radio id, path as tiebreak (pending_ is
-  // already path-ordered).
-  std::vector<std::pair<std::uint32_t, std::unique_ptr<RecordStream>>>
-      opened;
-  opened.reserve(pending_.size());
-  for (auto& [path, trace] : pending_) {
-    opened.emplace_back(trace->header().radio, std::move(trace));
-  }
-  pending_.clear();
-  std::stable_sort(opened.begin(), opened.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (auto& [radio, stream] : opened) {
-    std::unique_ptr<RecordStream> s = std::move(stream);
+  for (auto& s : scan_.Take()) {
+    const std::uint32_t radio = s->header().radio;
     if (wrapper_) s = wrapper_(std::move(s), radio);
     auto counted = std::make_unique<FrontierTrace>(std::move(s));
     frontiers_.emplace_back(radio, counted.get());

@@ -14,7 +14,7 @@
 //     that changed durable state.
 //   * MonitorService — owns many monitors and multiplexes them through a
 //     single PollOnce() round-robin (no monitor ever blocks the loop:
-//     discovery uses TailFileTrace::TryOpen, the merge uses
+//     discovery steps a TraceDirectoryScan, the merge uses
 //     MergeSession::Poll), and exposes the per-deployment snapshot and
 //     the process metric registry as atomically-replaced files.
 //
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -243,9 +242,9 @@ class DeploymentMonitor {
   bool recovered_start_ = false;
   std::size_t expected_traces_ = 0;
 
-  // Discovery: traces opened so far, keyed by path (ordered, so the
-  // eventual trace set is deterministic).
-  std::map<std::string, std::unique_ptr<RecordStream>> pending_;
+  // Discovery: one non-blocking scan step per round until enough traces
+  // have published their headers.
+  TraceDirectoryScan scan_;
 
   TraceSet traces_;  // must outlive session_
   std::unique_ptr<MergeSession> session_;

@@ -2,12 +2,11 @@
 // a JSON mirror of the same data.
 //
 // Both render the aggregated snapshot, never the live registry — take the
-// snapshot once (MetricRegistry::Collect or MergeSession::MetricsSnapshot)
-// and hand it to whichever writers you need; the two expositions of one
-// snapshot are guaranteed to agree.
+// snapshot once (MetricRegistry::Collect) and hand it to whichever writers
+// you need; the two expositions of one snapshot are guaranteed to agree.
 //
-//   * ToPrometheusText — what `jigtool stats` prints and `live_monitor
-//     --metrics-interval` dumps: HELP/TYPE comment lines, cumulative
+//   * ToPrometheusText — what `jigtool stats` prints and `jigtool serve`
+//     writes to metrics.prom: HELP/TYPE comment lines, cumulative
 //     histogram buckets with le="..." labels and a +Inf terminal bucket,
 //     _sum/_count series.  Scrapeable as-is.
 //   * ToJson — what `jigtool merge --stats-json` writes: one object with

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 #include <thread>
 
 #include "trace/tail_trace.h"
@@ -43,24 +44,52 @@ void TraceSet::AdoptShards(std::vector<ChannelShard> shards) {
   }
 }
 
-TraceSet TraceSet::OpenDirectory(const std::filesystem::path& dir) {
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".jigt") {
-      paths.push_back(entry.path());
+void TraceDirectoryScan::Step(std::error_code& ec) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+    std::error_code type_ec;
+    if (!entry.is_regular_file(type_ec) ||
+        entry.path().extension() != ".jigt" ||
+        opened_.contains(entry.path())) {
+      continue;
     }
+    std::unique_ptr<RecordStream> stream;
+    if (tail_) {
+      stream = TailFileTrace::TryOpen(entry.path());  // nullptr: not yet
+    } else {
+      stream = std::make_unique<FileTrace>(entry.path());
+    }
+    if (stream) opened_.emplace(entry.path(), std::move(stream));
   }
-  std::vector<std::unique_ptr<RecordStream>> opened;
-  opened.reserve(paths.size());
-  for (const auto& p : paths) {
-    opened.push_back(std::make_unique<FileTrace>(p));
+}
+
+std::vector<std::unique_ptr<RecordStream>> TraceDirectoryScan::Take() {
+  std::vector<std::pair<std::filesystem::path, std::unique_ptr<RecordStream>>>
+      ordered;
+  ordered.reserve(opened_.size());
+  for (auto& [path, stream] : opened_) {
+    ordered.emplace_back(path, std::move(stream));
   }
-  std::sort(opened.begin(), opened.end(),
-            [](const auto& a, const auto& b) {
-              return a->header().radio < b->header().radio;
-            });
+  opened_.clear();
+  std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.second->header().radio, a.first) <
+           std::tie(b.second->header().radio, b.first);
+  });
+  std::vector<std::unique_ptr<RecordStream>> streams;
+  streams.reserve(ordered.size());
+  for (auto& entry : ordered) streams.push_back(std::move(entry.second));
+  return streams;
+}
+
+TraceSet TraceSet::OpenDirectory(const std::filesystem::path& dir) {
+  TraceDirectoryScan scan(dir, /*tail=*/false);
+  std::error_code ec;
+  scan.Step(ec);
+  if (ec) {
+    throw std::filesystem::filesystem_error("cannot list trace directory",
+                                            dir, ec);
+  }
   TraceSet set;
-  for (auto& s : opened) set.Add(std::move(s));
+  for (auto& s : scan.Take()) set.Add(std::move(s));
   return set;
 }
 
@@ -74,38 +103,22 @@ TraceSet TraceSet::FollowDirectory(const std::filesystem::path& dir,
   // without the late radios (the set cannot grow after this returns).
   constexpr int kSettlePolls = 10;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
+  TraceDirectoryScan scan(dir, /*tail=*/true);
   std::size_t last_count = 0;
   int stable_polls = 0;
   for (;;) {
-    // Re-attempt the whole directory each poll: a file whose header is
-    // mid-write simply does not count yet.
-    std::vector<std::unique_ptr<RecordStream>> opened;
-    if (std::filesystem::exists(dir)) {
-      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ".jigt") {
-          continue;
-        }
-        if (auto tail = TailFileTrace::TryOpen(entry.path())) {
-          opened.push_back(std::move(tail));
-        }
-      }
-    }
-    stable_polls = opened.size() == last_count ? stable_polls + 1 : 0;
-    const bool ready =
-        expected_traces != 0
-            ? opened.size() >= expected_traces
-            : !opened.empty() && stable_polls >= kSettlePolls;
+    std::error_code ec;  // a directory not created yet has no traces yet
+    scan.Step(ec);
+    stable_polls = scan.size() == last_count ? stable_polls + 1 : 0;
+    const bool ready = expected_traces != 0
+                           ? scan.size() >= expected_traces
+                           : !scan.empty() && stable_polls >= kSettlePolls;
     if (ready) {
-      std::sort(opened.begin(), opened.end(),
-                [](const auto& a, const auto& b) {
-                  return a->header().radio < b->header().radio;
-                });
       TraceSet set;
-      for (auto& s : opened) set.Add(std::move(s));
+      for (auto& s : scan.Take()) set.Add(std::move(s));
       return set;
     }
-    last_count = opened.size();
+    last_count = scan.size();
     if (std::chrono::steady_clock::now() >= deadline) {
       throw std::runtime_error(
           "FollowDirectory: timed out waiting for traces in " + dir.string());

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -100,17 +101,18 @@ class TraceSet {
     for (auto& s : streams_) s->Rewind();
   }
 
-  // Opens every *.jigt file in a directory as one trace set, ordered by
-  // radio id so analyses are deterministic regardless of directory order.
+  // Opens every *.jigt file in a directory as one trace set, in
+  // TraceDirectoryScan order (radio id, then path) so analyses are
+  // deterministic regardless of directory order.
   static TraceSet OpenDirectory(const std::filesystem::path& dir);
 
   // Live counterpart of OpenDirectory: polls `dir` until `expected_traces`
   // *.jigt files have readable headers (with expected_traces == 0, until
   // the file count is non-zero and has held still for a settle period of
   // ~10 poll intervals — pass the expected count when you know it; the
-  // trace set cannot grow once this returns), then opens them all as
-  // tail-follow streams ordered by radio id.  Throws std::runtime_error
-  // if the deadline passes first.
+  // trace set cannot grow once this returns), and returns them as
+  // tail-follow streams in the same order as OpenDirectory.  Throws
+  // std::runtime_error if the deadline passes first.
   static TraceSet FollowDirectory(
       const std::filesystem::path& dir, std::size_t expected_traces = 0,
       std::chrono::milliseconds poll_interval = std::chrono::milliseconds(20),
@@ -134,6 +136,34 @@ class TraceSet {
 
  private:
   std::vector<std::unique_ptr<RecordStream>> streams_;
+};
+
+// The one directory scan behind OpenDirectory, FollowDirectory and the
+// service's trace discovery.  Step() is non-blocking: it lists `dir` once
+// and opens every *.jigt file that no earlier step opened — as a finished
+// FileTrace, or with `tail` as a TailFileTrace once its header is
+// published (a file whose header is still being written is retried on the
+// next step; no file is opened twice).  Take() hands the opened streams
+// over in the one directory order: radio id, then path.
+class TraceDirectoryScan {
+ public:
+  TraceDirectoryScan(std::filesystem::path dir, bool tail)
+      : dir_(std::move(dir)), tail_(tail) {}
+
+  // Sets `ec` when the directory cannot be listed; files opened by earlier
+  // steps are kept either way.  A corrupt or truncated file throws its
+  // TraceError.
+  void Step(std::error_code& ec);
+
+  std::size_t size() const { return opened_.size(); }
+  bool empty() const { return opened_.empty(); }
+
+  std::vector<std::unique_ptr<RecordStream>> Take();
+
+ private:
+  std::filesystem::path dir_;
+  bool tail_;
+  std::map<std::filesystem::path, std::unique_ptr<RecordStream>> opened_;
 };
 
 // One channel's slice of a TraceSet.  `source_index[i]` is the position

@@ -9,8 +9,6 @@
 // The jigtool binary is located via the JIGTOOL environment variable, or
 // ./jigtool relative to the test's working directory (ctest runs from the
 // build root, where every target lands).  Skips if neither resolves.
-// live_monitor's --follow door keeps the same contract and is found the
-// same way (LIVE_MONITOR, or ./live_monitor).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -18,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "trace/net.h"
@@ -35,21 +34,22 @@ std::string ToolPath(const char* env, const std::string& name) {
 }
 
 std::string JigtoolPath() { return ToolPath("JIGTOOL", "jigtool"); }
-std::string LiveMonitorPath() {
-  return ToolPath("LIVE_MONITOR", "live_monitor");
-}
 
-// Runs `tool` with `args`, returns its exit code (-1 on system() failure or
-// when the tool died on a signal, e.g. an uncaught-exception abort).
-int RunTool(const std::string& tool, const std::string& args) {
-  const std::string cmd = tool + " " + args + " >/dev/null 2>&1";
+// Runs a shell command line, returns its exit code (-1 on system() failure
+// or when it died on a signal, e.g. an uncaught-exception abort).
+int RunShell(const std::string& cmd) {
   const int status = std::system(cmd.c_str());
   if (status == -1) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 int RunJigtool(const std::string& args) {
-  return RunTool(JigtoolPath(), args);
+  return RunShell(JigtoolPath() + " " + args + " >/dev/null 2>&1");
+}
+
+std::string ReadFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 class CliTest : public ::testing::Test {
@@ -105,6 +105,34 @@ TEST_F(CliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunJigtool("frobnicate " + dir_.string()), 2);
   EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --spill-dir"), 2);
   EXPECT_EQ(RunJigtool("stats " + dir_.string() + " --stats-json"), 2);
+  EXPECT_EQ(RunJigtool("follow " + dir_.string() + " --spill-dir"), 2);
+}
+
+// Every flag is listed with the commands that take it; given to any other
+// command it is a usage error, not a warning the run goes on past.
+TEST_F(CliTest, FlagForAnotherCommandExitsTwo) {
+  WriteValidTrace("r1.jigt");
+  EXPECT_EQ(RunJigtool("info " + dir_.string() + " --spill-dir x"), 2);
+  EXPECT_EQ(RunJigtool("stats " + dir_.string() + " --spill-dir x"), 2);
+  EXPECT_EQ(RunJigtool("follow " + dir_.string() + " --stats-json x"), 2);
+  EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --expected 1"), 2);
+}
+
+// Numbers are parsed strictly: an argument that is not a whole
+// non-negative integer is a usage error.  std::atol read each of these as
+// 0 and ran — auto threads, the default spill threshold, first-scan
+// discovery — and exited 0.  The valid spellings run to 0 over the same
+// input, so the 2s come from the numbers alone.
+TEST_F(CliTest, MalformedNumberExitsTwo) {
+  WriteValidTrace("r1.jigt");
+  const std::string d = dir_.string();
+  const std::string serve = "serve " + (dir_ / "state").string() + " " + d;
+  EXPECT_EQ(RunJigtool("merge " + d + " two"), 2);
+  EXPECT_EQ(RunJigtool("merge " + d + " --spill-threshold abc"), 2);
+  EXPECT_EQ(RunJigtool(serve + " --expected x --until-done"), 2);
+  EXPECT_EQ(RunJigtool("merge " + d + " 2"), 0);
+  EXPECT_EQ(RunJigtool("merge " + d + " --spill-threshold 16"), 0);
+  EXPECT_EQ(RunJigtool(serve + " --expected 1 --until-done"), 0);
 }
 
 TEST_F(CliTest, MissingOrEmptyInputExitsOne) {
@@ -128,6 +156,35 @@ TEST_F(CliTest, CorruptTraceExitsThree) {
   EXPECT_EQ(RunJigtool("stats " + dir_.string()), 3);
   EXPECT_EQ(RunJigtool("merge " + dir_.string()), 3);
   EXPECT_EQ(RunJigtool("info " + dir_.string()), 3);
+  EXPECT_EQ(RunJigtool("follow " + dir_.string() + " 1"), 3);
+  EXPECT_EQ(RunJigtool("timeline " + dir_.string()), 3);
+}
+
+// A live follow ends with the summary a merge of the finished directory
+// prints, byte for byte.  The directory exists before either tool starts:
+// a follower that started first would otherwise exit 1.
+TEST_F(CliTest, LiveFollowSummaryEqualsMerge) {
+  const fs::path live = dir_ / "live";
+  fs::create_directories(live);
+  const std::string tool = JigtoolPath();
+  const fs::path follow_out = dir_ / "follow.out";
+  const fs::path merge_out = dir_ / "merge.out";
+  const int combined = RunShell(
+      tool + " demo-live " + live.string() +
+      " 2 20 >/dev/null 2>&1 & wpid=$!; " + tool + " follow " +
+      live.string() + " 156 >" + follow_out.string() +
+      " 2>/dev/null; f=$?; wait $wpid; w=$?; exit $((f * 10 + w))");
+  EXPECT_EQ(combined, 0) << "follow exit " << combined / 10
+                         << ", demo-live exit " << combined % 10;
+  ASSERT_EQ(RunShell(tool + " merge " + live.string() + " >" +
+                     merge_out.string() + " 2>/dev/null"),
+            0);
+  const std::string merged = ReadFile(merge_out);
+  const std::string followed = ReadFile(follow_out);
+  ASSERT_TRUE(merged.starts_with("radios synced:")) << merged;
+  EXPECT_TRUE(followed.ends_with(merged)) << "follow:\n"
+                                          << followed << "merge:\n"
+                                          << merged;
 }
 
 // --mmap was a merge read-mode knob; it is gone, so it is now an unknown
@@ -202,9 +259,7 @@ int RunServeCollectPair(const std::string& tool, const fs::path& trace,
                           trace.string() + " 127.0.0.1 " + p +
                           " >/dev/null 2>&1; s=$?; wait $cpid; c=$?; "
                           "exit $((s * 10 + c))";
-  const int status = std::system(cmd.c_str());
-  if (status == -1) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return RunShell(cmd);
 }
 
 TEST_F(CliTest, ServeTraceToCollectRoundTripExitsZeroBothEnds) {
@@ -294,45 +349,6 @@ TEST_F(CliTest, ServeSigtermShutsDownCleanly) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   EXPECT_TRUE(fs::exists(state / "snapshot.json"));
-}
-
-// ------------------------------------------------------------------------
-// live_monitor --follow: the same 1/2/3 contract, and never an abort.
-
-class LiveMonitorCliTest : public CliTest {
- protected:
-  void SetUp() override {
-    if (LiveMonitorPath().empty()) {
-      GTEST_SKIP() << "live_monitor binary not found (set LIVE_MONITOR)";
-    }
-    CliTest::SetUp();
-  }
-  static int Run(const std::string& args) {
-    return RunTool(LiveMonitorPath(), args);
-  }
-};
-
-TEST_F(LiveMonitorCliTest, UsageErrorsExitTwo) {
-  EXPECT_EQ(Run("--follow"), 2);
-  EXPECT_EQ(Run("--follow " + dir_.string() + " --spill-dir"), 2);
-}
-
-// Without the option check, `--bogus` became the radio count (atol = 0)
-// and the monitor waited out the 30 s settle timeout on an empty directory.
-TEST_F(LiveMonitorCliTest, UnknownOptionExitsTwo) {
-  EXPECT_EQ(Run("--follow " + dir_.string() + " --bogus"), 2);
-  EXPECT_EQ(Run("--no-such-flag"), 2);
-}
-
-// A missing directory fails fast with 1, instead of aborting on the
-// uncaught settle-timeout error 30 s later.
-TEST_F(LiveMonitorCliTest, MissingDirectoryExitsOne) {
-  EXPECT_EQ(Run("--follow " + (dir_ / "nonexistent").string()), 1);
-}
-
-TEST_F(LiveMonitorCliTest, CorruptTraceExitsThree) {
-  WriteGarbage(dir_ / "bad.jigt");
-  EXPECT_EQ(Run("--follow " + dir_.string() + " 1"), 3);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "jframe_equality.h"
 #include "merge_oracle.h"
+#include "obs/metrics.h"
 #include "sim/scenario.h"
 #include "synthetic.h"
 #include "trace/trace_file.h"

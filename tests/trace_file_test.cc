@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "trace/tail_trace.h"
 #include "trace/trace_set.h"
@@ -357,6 +361,38 @@ TEST_F(TraceFileTest, TraceSetDirectoryRoundtrip) {
     }
     EXPECT_FALSE(loaded.at(i).Next().has_value());
     EXPECT_EQ(count, 100u);
+  }
+}
+
+// One directory order for every opener: radio id, then path.  Two files
+// that share a radio id come back in path order from the batch and the
+// tail opener alike, whichever of them was created first.
+TEST_F(TraceFileTest, DirectoryOrderIsRadioThenPathForEveryOpener) {
+  const auto pods = [](const TraceSet& set) {
+    std::vector<unsigned> out;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      out.push_back(set.at(i).header().pod);
+    }
+    return out;
+  };
+  // (file, radio, pod): the pod tells the two radio-7 files apart.
+  std::vector<std::tuple<std::string, RadioId, unsigned>> files = {
+      {"b.jigt", 7, 2}, {"a.jigt", 7, 1}, {"c.jigt", 4, 3}};
+  const std::vector<unsigned> expected = {3, 1, 2};  // r4, r7 a, r7 b
+  for (const char* order : {"forward", "reversed"}) {
+    const fs::path dir = dir_ / order;
+    fs::create_directories(dir);
+    for (const auto& [name, radio, pod] : files) {
+      TraceHeader header = Header(radio);
+      header.pod = static_cast<std::uint16_t>(pod);
+      TraceFileWriter writer(dir / name, header);
+      writer.Append(MakeRecords(1).front());
+      writer.Finish();
+    }
+    EXPECT_EQ(pods(TraceSet::OpenDirectory(dir)), expected) << order;
+    EXPECT_EQ(pods(TraceSet::FollowDirectory(dir, files.size())), expected)
+        << order;
+    std::reverse(files.begin(), files.end());
   }
 }
 
